@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success or confirmed, 1 negative verdict, 2 inconclusive,
-3 data errors, 64 usage errors. All runs are deterministic for fixed
-inputs and flags.
+3 data errors, 64 usage errors, 70 internal errors (a failed internal
+check or any other crash, never read as a verdict). All runs are
+deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from . import oracle, serialize
 from .errors import HyperluError, InconclusiveError
 from .hypergraph import from_graph, star_graph, to_graph
 from .lc_solver import lc_equivalent, lc_orbit
-from .transforms import apply_sequence, sequence_deltas
+from .transforms import apply_sequence, state_delta
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_DATA = 3
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,11 +67,11 @@ def _cmd_gen(args) -> int:
 def _cmd_transform(args) -> int:
     state = serialize.load_state(args.state)
     seq = serialize.load_sequence(args.sequence)
+    result = apply_sequence(state, seq)
     if args.ledger:
-        for e, w in sequence_deltas(state, seq).items():
+        for e, w in state_delta(state, result).items():
             label = "{" + ",".join(map(str, e)) + "}" if e else "phase"
             print(f"{label}: {w}")
-    result = apply_sequence(state, seq)
     _emit(args.out, serialize.dump_hypergraph(result))
     return EXIT_OK
 
@@ -257,6 +259,12 @@ def main(argv: list[str] | None = None) -> int:
     except (HyperluError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except Exception as exc:  # a crash must never read as a verdict
+        import traceback  # loaded on the crash path only, not at start-up
+
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -109,11 +109,6 @@ def add_weight(h: WeightedHypergraph, e: Iterable[int], w: Weight) -> WeightedHy
     return WeightedHypergraph.make(h.n, list(h.edges) + [(key, w)], h.phase)
 
 
-def add_weights(h: WeightedHypergraph, delta: Mapping[Edge, Weight]) -> WeightedHypergraph:
-    """Merge a whole edge->weight delta at once."""
-    return WeightedHypergraph.make(h.n, list(h.edges) + list(delta.items()), h.phase)
-
-
 def states_equal(
     a: WeightedHypergraph, b: WeightedHypergraph, ignore_global_phase: bool = False
 ) -> bool:

@@ -174,7 +174,8 @@ def lc_equivalent(
         return CliffordWitness(ones, zeros, zeros, ones)
     system = _lc_system(g1, g2)
     sol = solve_linear_gf2(system, 0)
-    assert sol is not None  # homogeneous systems are always consistent
+    if sol is None:
+        raise AssertionError("homogeneous LC system reported inconsistent")
     basis = list(sol.nullspace)
     for span in _vertex_pattern_spans(basis, n):
         if not (span & _VALID_PATTERNS):

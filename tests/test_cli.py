@@ -182,3 +182,12 @@ def test_verify_against_imported_matrix(tmp_path, capsys):
     assert payload["against"]["lc_verdict"] in ("witness", "none", "inconclusive")
     assert "search" in payload["against"]
     assert code in (0, 2)
+
+
+def test_failed_internal_check_exits_70(monkeypatch, capsys):
+    """A failed witness replay is a crash, not a negative verdict."""
+    from hyperlu import counterexamples as cx
+
+    monkeypatch.setattr(cx, "states_equal", lambda *args, **kwargs: False)
+    assert run("verify", "--spec", "bipartite:7:5") == 70
+    assert "witness replay" in capsys.readouterr().err

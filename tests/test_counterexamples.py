@@ -174,6 +174,29 @@ class TestVerify:
         with pytest.raises(PreconditionError):
             cx.verify_counterexample(g, split, g)
 
+    def test_construction_derives_once(self, monkeypatch):
+        calls = []
+        derive = cx.derive_lu_partner
+
+        def counting(g, split):
+            calls.append(g.n)
+            return derive(g, split)
+
+        monkeypatch.setattr(cx, "derive_lu_partner", counting)
+        report = cx.verify_construction(cx.TwentySeven())
+        assert report.confirmed and calls == [27]
+
+    def test_counterexample_report_matches_construction(self):
+        g, split = cx.build(cx.TwentySeven())
+        target = cx.derive_lu_partner(g, split).target
+        report = cx.verify_counterexample(g, split, target, "twentyseven")
+        assert report.confirmed
+        expected = cx.verify_construction(cx.TwentySeven()).as_dict()
+        got = report.as_dict()
+        expected.pop("elapsed_seconds")
+        got.pop("elapsed_seconds")
+        assert got == expected
+
     def test_report_serializes(self):
         import json
 

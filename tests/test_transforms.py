@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 
 from conftest import connected_graphs, hypergraphs, simple_graphs
 from hyperlu import oracle
-from hyperlu.errors import PreconditionError, SequenceStepError
+from hyperlu.errors import PreconditionError, SequenceStepError, VertexRangeError
 from hyperlu.hypergraph import (
     SimpleGraph,
     WeightedHypergraph,
@@ -19,6 +20,7 @@ from hyperlu.hypergraph import (
 )
 from hyperlu.transforms import (
     GateApplication,
+    apply_gate,
     apply_pauli_x,
     apply_sequence,
     apply_x_power,
@@ -27,6 +29,7 @@ from hyperlu.transforms import (
     link,
     local_complement,
     local_complement_sequence,
+    x_gate,
     x_power_gate,
     z_power_gate,
 )
@@ -264,3 +267,94 @@ class TestSequences:
             GateApplication(0, "Xp")  # missing exponent
         with pytest.raises(ValueError):
             GateApplication(0, "X", Weight(1, 1))  # spurious exponent
+
+
+def random_legal_sequence(h, rng, length):
+    """Gates drawn at random, each kept only if legal on the state so far."""
+    gates, cur = [], h
+    while len(gates) < length:
+        kind = rng.choice(["X", "Xp", "Zp", "LC"])
+        exponent = Weight(rng.randrange(1, 8), 2) if kind in ("Xp", "Zp") else None
+        gate = GateApplication(rng.randrange(h.n), kind, exponent)
+        try:
+            cur = apply_sequence(cur, [gate])
+        except SequenceStepError:
+            continue  # Zp is always legal, so this terminates
+        gates.append(gate)
+    return gates
+
+
+def random_start(rng, n):
+    pairs = list(itertools.combinations(range(n), 2))
+    g = SimpleGraph.from_edges(n, [p for p in pairs if rng.random() < 0.4])
+    h = from_graph(g)
+    triple = tuple(sorted(rng.sample(range(n), 3)))
+    return WeightedHypergraph.make(n, list(h.edges) + [(triple, Weight(1))])
+
+
+class TestFold:
+    """One fold over a working copy equals gate-by-gate application."""
+
+    def test_split_sequences_compose_and_match_oracle(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randrange(4, 11)
+            h = random_start(rng, n)
+            seq = random_legal_sequence(h, rng, rng.randrange(4, 16))
+            whole = apply_sequence(h, seq)
+            cut = rng.randrange(len(seq) + 1)
+            assert whole == apply_sequence(apply_sequence(h, seq[:cut]), seq[cut:])
+            stepwise = h
+            for gate in seq:
+                stepwise = apply_gate(stepwise, gate)
+            assert whole == stepwise
+            dense = oracle.replay_dense(h, seq)
+            assert oracle.equal_up_to_global_phase(oracle.dense_state(whole), dense, tol=1e-10)
+
+    def test_gate_made_illegal_by_earlier_gate_names_its_index(self, triangle):
+        h = from_graph(SimpleGraph.from_edges(3, [(0, 1), (1, 2)]))
+        assert apply_sequence(h, [x_gate(0)]) is not None  # legal on the input
+        # X^(1/4) at 1 puts weight 1/4 on {0} and 3/2 on {0,2}; X at 0 needs 1
+        seq = [x_power_gate(1, Weight(1, 2)), z_power_gate(2, Weight(1)), x_gate(0)]
+        with pytest.raises(SequenceStepError) as exc:
+            apply_sequence(h, seq)
+        assert exc.value.step == 2
+        assert isinstance(exc.value.__cause__, PreconditionError)
+        assert exc.value.__cause__.edge == (0,)
+        # LC at 1 is legal on the triangle, but X^(1/2) at 0 first puts
+        # weight 1/2 on {1}
+        assert apply_sequence(from_graph(triangle), [lc_gate(1)]) is not None
+        seq = [lc_gate(0), x_power_gate(0, Weight(1, 2)), lc_gate(1)]
+        with pytest.raises(SequenceStepError) as exc:
+            apply_sequence(from_graph(triangle), seq)
+        assert exc.value.step == 2
+
+    def test_input_state_is_unchanged(self, star4):
+        h = WeightedHypergraph.make(
+            4, list(from_graph(star4).edges) + [((1, 2, 3), Weight(1))], Weight(1, 2)
+        )
+        before = (h.n, h.edges, h.phase, h.edge_dict())
+        seq = random_legal_sequence(h, random.Random(3), 20)
+        out = apply_sequence(h, seq)
+        assert out != h
+        assert (h.n, h.edges, h.phase, h.edge_dict()) == before
+
+    def test_single_gate_functions_keep_their_error_types(self):
+        h = WeightedHypergraph.make(3, [((0, 1), Weight(1, 1)), ((0, 1, 2), Weight(1))])
+        with pytest.raises(PreconditionError) as exc:
+            apply_x_power(h, 0, Weight(1, 2))
+        assert exc.value.edge == (0, 1)
+        with pytest.raises(PreconditionError):
+            apply_pauli_x(h, 1)
+        with pytest.raises(PreconditionError):
+            link(h, 0)
+        with pytest.raises(PreconditionError):
+            apply_gate(h, lc_gate(2))
+        with pytest.raises(VertexRangeError):
+            apply_z_power(h, 3, Weight(1))
+        with pytest.raises(VertexRangeError):
+            apply_pauli_x(h, -1, extended=True)
+        with pytest.raises(VertexRangeError):
+            apply_x_power(h, 5, Weight(1, 2))
+        with pytest.raises(VertexRangeError):
+            apply_gate(h, lc_gate(3))
