@@ -119,7 +119,7 @@ def _verify_against(spec, args) -> dict:
         out["lc_verdict"] = "inconclusive"
         out["lc_detail"] = str(exc)
     search = cx.degree_distribution_search(
-        own, split, imported.degrees(), budget=args.budget, threads=args.threads
+        own, split, imported.degrees(), budget=args.budget
     )
     out["search"] = search.as_dict()
     return out
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--report", help="write the JSON report here")
     ver.add_argument("--against", help="adjacency file to compare against")
     ver.add_argument("--budget", type=int, default=1000, help="search budget")
-    ver.add_argument("--threads", type=int, default=1)
     ver.set_defaults(func=_cmd_verify)
 
     chk = sub.add_parser("check-lc", help="decide LC equivalence of two graphs")

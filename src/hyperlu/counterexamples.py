@@ -25,6 +25,7 @@ from .errors import (
     InconclusiveError,
     PreconditionError,
     SizeLimitError,
+    VertexRangeError,
 )
 from .hypergraph import (
     Edge,
@@ -44,7 +45,7 @@ from .lc_solver import (
 from .transforms import (
     GateSequence,
     apply_sequence,
-    local_complement,
+    local_complement_rows,
     x_power_gate,
     z_power_gate,
 )
@@ -441,10 +442,14 @@ def bipartite_preserving_sequence(
     for v in chosen:
         if v not in right:
             raise PreconditionError(f"subset vertex {v} is not on the right side")
-    work = g
+    for v in split.left + chosen:
+        if not (0 <= v < g.n):
+            raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
+    rows = list(g.rows)
     for stage in (split.left, chosen, split.left, chosen):
         for v in stage:
-            work = local_complement(work, v)
+            local_complement_rows(rows, v)
+    work = SimpleGraph._trusted(g.n, tuple(rows))
     colors, violation = work.bipartite_coloring()
     if violation is not None:
         return SequenceOutcome(work, None, False, violation)
@@ -476,7 +481,6 @@ def degree_distribution_search(
     split: BipartiteSplit,
     target_degrees: Sequence[int],
     budget: int,
-    threads: int = 1,
 ) -> SearchResult:
     """Subsets whose complementation pattern hits a degree multiset.
 
@@ -490,22 +494,12 @@ def degree_distribution_search(
         for size in range(0, split.k2 + 1):
             yield from combinations(split.right, size)
 
-    def evaluate(subset: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
+    def hits(subset: tuple[int, ...]) -> bool:
         outcome = bipartite_preserving_sequence(g, split, subset)
-        hit = outcome.ok and tuple(sorted(outcome.graph.degrees())) == target
-        return subset, hit
+        return outcome.ok and tuple(sorted(outcome.graph.degrees())) == target
 
     gen = all_subsets()
     batch = list(islice(gen, budget))
     exhausted = next(gen, None) is not None
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, batch))
-    else:
-        results = [evaluate(s) for s in batch]
-
-    candidates = [subset for subset, hit in results if hit]
+    candidates = [subset for subset in batch if hits(subset)]
     return SearchResult(candidates, len(batch), exhausted)

@@ -66,9 +66,6 @@ class GF2Solution:
     particular: int
     nullspace: tuple[int, ...]
 
-    def particular_bits(self) -> list[int]:
-        return [(self.particular >> j) & 1 for j in range(self.ncols)]
-
 
 def solve_linear_gf2(m: GF2Matrix, rhs: int | Sequence[int]) -> GF2Solution | None:
     """Full affine solution space of m @ x = rhs over GF(2), or None.

@@ -128,7 +128,9 @@ def states_equal(
 class SimpleGraph:
     """Labeled graph as a symmetric zero-diagonal bit matrix.
 
-    ``rows[i]`` has bit ``j`` set iff {i, j} is an edge.
+    ``rows[i]`` has bit ``j`` set iff {i, j} is an edge. The constructor
+    and :meth:`from_edges` validate their input; results computed from
+    valid graphs are built through :meth:`_trusted`, unchecked.
     """
 
     n: int
@@ -146,6 +148,15 @@ class SimpleGraph:
             for j in range(i + 1, self.n):
                 if ((self.rows[i] >> j) & 1) != ((self.rows[j] >> i) & 1):
                     raise ValueError(f"adjacency not symmetric at ({i},{j})")
+
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "SimpleGraph":
+        """Wrap rows known to be a valid adjacency (say, a local
+        complement of a valid graph) without re-checking them."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
 
     @classmethod
     def empty(cls, n: int) -> "SimpleGraph":
@@ -219,7 +230,11 @@ class SimpleGraph:
             stack = [start]
             while stack:
                 u = stack.pop()
-                for w in self.neighbors(u):
+                m = self.rows[u]  # neighbors in ascending order, as neighbors()
+                while m:
+                    low = m & -m
+                    m ^= low
+                    w = low.bit_length() - 1
                     if colors[w] == -1:
                         colors[w] = colors[u] ^ 1
                         stack.append(w)

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gf2 import GF2Matrix, echelonize, solve_linear_gf2
 from .hypergraph import SimpleGraph
-from .transforms import local_complement
+from .transforms import local_complement, local_complement_rows
 
 # 4-bit local patterns (a | b<<1 | c<<2 | d<<3) with a*d + b*c = 1;
 # exactly the six invertible 2x2 binary matrices.
@@ -135,8 +135,11 @@ def _search_nullspace(basis: list[int], n: int, max_nodes: int) -> int | None:
                 return False
         return True
 
-    def rec(j: int, x: int, checked: int) -> int | None:
-        nonlocal budget
+    # depth-first on an explicit stack, so deep nullspaces need no recursion;
+    # the "with vector j" child is pushed first so "without" is tried first
+    stack = [(0, 0, 0)]  # (j, x, vertices already checked)
+    while stack:
+        j, x, checked = stack.pop()
         budget -= 1
         if budget < 0:
             raise InconclusiveError(
@@ -145,15 +148,12 @@ def _search_nullspace(basis: list[int], n: int, max_nodes: int) -> int | None:
             )
         limit = leads[j] // 4 if j < d else n
         if not check_range(x, checked, limit):
-            return None
+            continue
         if j == d:
             return x
-        found = rec(j + 1, x, limit)
-        if found is not None:
-            return found
-        return rec(j + 1, x ^ order[j], limit)
-
-    return rec(0, 0, 0)
+        stack.append((j + 1, x ^ order[j], limit))
+        stack.append((j + 1, x, limit))
+    return None
 
 
 def lc_equivalent(
@@ -216,16 +216,19 @@ class Orbit:
 def lc_orbit(g: SimpleGraph, cap: int = 10_000) -> Orbit:
     """BFS closure under local complementation at every vertex.
 
+    The search runs on row tuples; members are wrapped once at the end.
     Stops expanding once ``cap`` graphs were collected; the partial
     result is flagged.
     """
-    seen = {g}
-    queue = deque([g])
+    seen = {g.rows}
+    queue = deque([g.rows])
     truncated = False
     while queue:
         cur = queue.popleft()
         for v in range(g.n):
-            nxt = local_complement(cur, v)
+            rows = list(cur)
+            local_complement_rows(rows, v)
+            nxt = tuple(rows)
             if nxt not in seen:
                 if len(seen) >= cap:
                     truncated = True
@@ -233,7 +236,7 @@ def lc_orbit(g: SimpleGraph, cap: int = 10_000) -> Orbit:
                     break
                 seen.add(nxt)
                 queue.append(nxt)
-    return Orbit(frozenset(seen), truncated)
+    return Orbit(frozenset(SimpleGraph._trusted(g.n, r) for r in seen), truncated)
 
 
 @dataclass(frozen=True)

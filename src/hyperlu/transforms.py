@@ -224,19 +224,27 @@ def apply_x_power(h: WeightedHypergraph, i: int, alpha: Weight) -> WeightedHyper
     return apply_gate(h, x_power_gate(i, alpha))
 
 
+def local_complement_rows(rows: list[int], v: int) -> None:
+    """Local complementation at ``v``, in place on adjacency rows.
+
+    The caller guarantees ``0 <= v < len(rows)``; valid rows stay valid.
+    """
+    m = rows[v]
+    u = m
+    while u:
+        low = u & -u
+        # toggle toward all other neighbors, not itself
+        rows[low.bit_length() - 1] ^= m ^ low
+        u ^= low
+
+
 def local_complement(g: SimpleGraph, v: int) -> SimpleGraph:
     """Complement the subgraph induced by the neighborhood of ``v``."""
     if not (0 <= v < g.n):
         raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
-    m = g.rows[v]
     rows = list(g.rows)
-    u = m
-    while u:
-        low = u & -u
-        i = low.bit_length() - 1
-        rows[i] ^= m ^ low  # toggle toward all other neighbors, not itself
-        u ^= low
-    return SimpleGraph(g.n, tuple(rows))
+    local_complement_rows(rows, v)
+    return SimpleGraph._trusted(g.n, tuple(rows))
 
 
 def local_complement_sequence(g: SimpleGraph, v: int) -> GateSequence:

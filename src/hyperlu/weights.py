@@ -12,7 +12,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonDyadicError
+from .errors import NonDyadicError, SizeLimitError
+
+# Largest denominator exponent accepted from text. Reduction modulo 2
+# builds an integer of exp + 1 bits, so parsing bounds the exponent;
+# values computed inside the package stay exact and uncapped.
+MAX_PARSED_EXPONENT = 1024
 
 _CARET_RE = re.compile(r"^(-?\d+)\s*/\s*2\^(\d+)$")
 _PLAIN_RE = re.compile(r"^(-?\d+)(?:\s*/\s*(\d+))?$")
@@ -57,15 +62,21 @@ class Weight:
         s = text.strip()
         m = _CARET_RE.match(s)
         if m:
-            return cls(int(m.group(1)), int(m.group(2)))
-        m = _PLAIN_RE.match(s)
-        if not m:
-            raise NonDyadicError(f"cannot parse weight {text!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
-        if den == 0 or den & (den - 1):
-            raise NonDyadicError(f"denominator of {text!r} is not a power of two")
-        return cls(num, den.bit_length() - 1)
+            num, exp = int(m.group(1)), int(m.group(2))
+        else:
+            m = _PLAIN_RE.match(s)
+            if not m:
+                raise NonDyadicError(f"cannot parse weight {text!r}")
+            num = int(m.group(1))
+            den = int(m.group(2)) if m.group(2) else 1
+            if den == 0 or den & (den - 1):
+                raise NonDyadicError(f"denominator of {text!r} is not a power of two")
+            exp = den.bit_length() - 1
+        if exp > MAX_PARSED_EXPONENT:
+            raise SizeLimitError(
+                f"denominator exponent {exp} of weight {text!r} exceeds {MAX_PARSED_EXPONENT}"
+            )
+        return cls(num, exp)
 
     @property
     def is_zero(self) -> bool:

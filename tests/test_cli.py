@@ -191,3 +191,39 @@ def test_failed_internal_check_exits_70(monkeypatch, capsys):
     monkeypatch.setattr(cx, "states_equal", lambda *args, **kwargs: False)
     assert run("verify", "--spec", "bipartite:7:5") == 70
     assert "witness replay" in capsys.readouterr().err
+
+
+def test_deep_nullspace_search_is_a_verdict(tmp_path, capsys):
+    """400 vertices, edges 0-1 and 1-2, against the local complement at 1:
+    the nullspace has over a thousand dimensions, deeper than Python's
+    recursion limit, and the search still ends in a checked witness."""
+    from hyperlu.hypergraph import SimpleGraph
+    from hyperlu.lc_solver import CliffordWitness, verify_witness
+
+    g1 = SimpleGraph.from_edges(400, [(0, 1), (1, 2)])
+    g2 = local_complement(g1, 1)
+    a, b = tmp_path / "a.adj", tmp_path / "b.adj"
+    a.write_text(serialize.graph_to_adjacency_text(g1))
+    b.write_text(serialize.graph_to_adjacency_text(g2))
+    assert run("check-lc", str(a), str(b)) == 0
+    witness = CliffordWitness(**{k: tuple(v) for k, v in json.loads(capsys.readouterr().out).items()})
+    assert verify_witness(g1, g2, witness)
+
+
+@pytest.mark.parametrize("where", ["state", "sequence"])
+def test_huge_weight_exponent_is_a_data_error(tmp_path, capsys, where):
+    """An exponent far beyond any exact computation is refused at parse
+    time, before the reduction allocates anything of its size."""
+    import time
+
+    huge = "1/2^100000000"
+    state = tmp_path / "s.json"
+    seq = tmp_path / "q.json"
+    w = huge if where == "state" else "1"
+    a = huge if where == "sequence" else "1/4"
+    state.write_text(json.dumps({"n": 2, "edges": [{"v": [0, 1], "w": w}], "phase": "0"}))
+    seq.write_text(json.dumps([{"q": 0, "g": "Xp", "a": a}]))
+    start = time.perf_counter()
+    assert run("transform", str(state), str(seq)) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds" in capsys.readouterr().err

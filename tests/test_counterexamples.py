@@ -283,9 +283,3 @@ class TestDegreeSearch:
         g, split = cx.build(cx.BipartiteSubsets(3, 2))
         result = cx.degree_distribution_search(g, split, g.degrees(), budget=3)
         assert result.budget_exhausted and result.examined == 3
-
-    def test_threads_do_not_change_results(self):
-        g, split = cx.build(cx.BipartiteSubsets(3, 2))
-        a = cx.degree_distribution_search(g, split, g.degrees(), budget=16, threads=1)
-        b = cx.degree_distribution_search(g, split, g.degrees(), budget=16, threads=4)
-        assert a.candidates == b.candidates

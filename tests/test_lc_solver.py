@@ -225,3 +225,59 @@ class TestLemmaAnalysis:
                     assert report.case2_solvable == (witness is not None), (g1, g2)
                     cases += 1
         assert cases > 50
+
+
+def recursive_search(basis: list[int], n: int, max_nodes: int) -> int | None:
+    """The nullspace search as the plain recursion it unrolls."""
+    from hyperlu.errors import InconclusiveError
+    from hyperlu.gf2 import echelonize
+    from hyperlu.lc_solver import _VALID_PATTERNS
+
+    order = echelonize(basis)
+    d = len(order)
+    leads = [(vec & -vec).bit_length() - 1 for vec in order]
+    budget = max_nodes
+
+    def rec(j: int, x: int, checked: int) -> int | None:
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise InconclusiveError(
+                f"witness search exceeded {max_nodes} nodes (nullspace dimension {d})"
+            )
+        limit = leads[j] // 4 if j < d else n
+        if any(((x >> (4 * v)) & 15) not in _VALID_PATTERNS for v in range(checked, limit)):
+            return None
+        if j == d:
+            return x
+        found = rec(j + 1, x, limit)
+        return found if found is not None else rec(j + 1, x ^ order[j], limit)
+
+    return rec(0, 0, 0)
+
+
+class TestNullspaceSearch:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=2, max_value=7), st.data())
+    def test_matches_the_recursion_node_for_node(self, n, data):
+        from hyperlu.gf2 import solve_linear_gf2
+        from hyperlu.lc_solver import _lc_system, _search_nullspace
+
+        pairs = list(itertools.combinations(range(n), 2))
+        g1 = SimpleGraph.from_edges(n, data.draw(st.sets(st.sampled_from(pairs))))
+        if data.draw(st.booleans()):
+            g2 = g1
+            for v in data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=6)):
+                g2 = local_complement(g2, v)
+        else:
+            g2 = SimpleGraph.from_edges(n, data.draw(st.sets(st.sampled_from(pairs))))
+        basis = list(solve_linear_gf2(_lc_system(g1, g2), 0).nullspace)
+        budget = data.draw(st.integers(min_value=1, max_value=300))
+
+        def outcome(search):
+            try:
+                return "found", search(basis, n, budget)
+            except Exception as exc:
+                return type(exc).__name__, str(exc)
+
+        assert outcome(_search_nullspace) == outcome(recursive_search)

@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import weights
-from hyperlu.errors import NonDyadicError
-from hyperlu.weights import Weight
+from hyperlu.errors import NonDyadicError, SizeLimitError
+from hyperlu.weights import MAX_PARSED_EXPONENT, Weight
 
 
 def test_reduction_into_interval():
@@ -54,6 +54,16 @@ def test_parse(text, expected):
 def test_parse_rejects(bad):
     with pytest.raises(NonDyadicError):
         Weight.parse(bad)
+
+
+def test_parse_bounds_the_exponent_only_at_the_boundary():
+    top = MAX_PARSED_EXPONENT
+    assert Weight.parse(f"1/2^{top}") == Weight(1, top)
+    assert Weight.parse(f"3/{1 << top}") == Weight(3, top)
+    for text in (f"1/2^{top + 1}", f"1/{1 << (top + 1)}", "1/2^100000000"):
+        with pytest.raises(SizeLimitError):
+            Weight.parse(text)
+    assert (Weight(1, top) + Weight(1, 3 * top)).exp == 3 * top  # uncapped inside
 
 
 def test_from_fraction_rejects_non_dyadic():
