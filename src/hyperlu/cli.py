@@ -78,11 +78,12 @@ def _cmd_transform(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = cx.parse_spec(args.spec)
-    report = cx.verify_construction(spec)
+    own, split = cx.build(spec)
+    report = cx.verify_construction(spec, (own, split))
     payload = report.as_dict()
 
     if args.against:
-        payload["against"] = _verify_against(spec, args)
+        payload["against"] = _verify_against(own, split, args)
 
     text = json.dumps(payload, indent=2) + "\n"
     if args.report:
@@ -102,9 +103,8 @@ def _cmd_verify(args) -> int:
     return EXIT_NEGATIVE
 
 
-def _verify_against(spec, args) -> dict:
+def _verify_against(own, split, args) -> dict:
     """Compare a construction against a user-imported adjacency matrix."""
-    own, split = cx.build(spec)
     imported = serialize.load_graph(args.against)
     out: dict = {"imported_n": imported.n}
     if imported.n != own.n:

@@ -385,10 +385,15 @@ def _verify_derived_pair(
     )
 
 
-def verify_construction(spec: ConstructionSpec) -> VerificationReport:
-    """Build a construction, derive its partner and verify the pair."""
+def verify_construction(
+    spec: ConstructionSpec, built: tuple[SimpleGraph, BipartiteSplit] | None = None
+) -> VerificationReport:
+    """Build a construction, derive its partner and verify the pair.
+
+    ``built`` is ``build(spec)`` when the caller has already built it.
+    """
     start = time.perf_counter()
-    g1, split = build(spec)
+    g1, split = built if built is not None else build(spec)
     try:
         derivation = derive_lu_partner(g1, split)
     except CancellationError as exc:
@@ -433,11 +438,17 @@ def bipartite_preserving_sequence(
 ) -> SequenceOutcome:
     """Complement left side, subset, left side again, subset again.
 
-    ``subset`` is drawn from the right (non-central) side. The result is
-    re-checked for bipartiteness; failure is returned as a value naming
-    a violating edge, never raised.
+    ``subset`` is drawn from the right (non-central) side, and the split
+    must partition the vertices; edges inside a side are allowed. The
+    result is re-checked for bipartiteness; failure is returned as a
+    value naming a violating edge, never raised.
     """
     chosen = tuple(sorted(set(subset)))
+    _check_pattern_input(g, split, chosen)
+    return _finish_pattern(g.n, _complement_left(g, split), split.left, chosen)
+
+
+def _check_pattern_input(g: SimpleGraph, split: BipartiteSplit, chosen: tuple[int, ...]) -> None:
     right = set(split.right)
     for v in chosen:
         if v not in right:
@@ -445,11 +456,25 @@ def bipartite_preserving_sequence(
     for v in split.left + chosen:
         if not (0 <= v < g.n):
             raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
+    split.validate_partition(g.n)
+
+
+def _complement_left(g: SimpleGraph, split: BipartiteSplit) -> list[int]:
+    """Rows of g after the pattern's first stage, which no subset changes."""
     rows = list(g.rows)
-    for stage in (split.left, chosen, split.left, chosen):
+    for v in split.left:
+        local_complement_rows(rows, v)
+    return rows
+
+
+def _finish_pattern(
+    n: int, rows: list[int], left: tuple[int, ...], chosen: tuple[int, ...]
+) -> SequenceOutcome:
+    """The pattern's last three stages, in place on first-stage rows."""
+    for stage in (chosen, left, chosen):
         for v in stage:
             local_complement_rows(rows, v)
-    work = SimpleGraph._trusted(g.n, tuple(rows))
+    work = SimpleGraph._trusted(n, tuple(rows))
     colors, violation = work.bipartite_coloring()
     if violation is not None:
         return SequenceOutcome(work, None, False, violation)
@@ -486,16 +511,19 @@ def degree_distribution_search(
 
     Subsets of the right side are enumerated by size then
     lexicographically, up to ``budget`` of them; exhausting the budget
-    flags the result as partial.
+    flags the result as partial. The split is checked and the pattern's
+    first stage run once, not per subset.
     """
     target = tuple(sorted(target_degrees))
+    _check_pattern_input(g, split, ())
+    first = _complement_left(g, split)
 
     def all_subsets():
         for size in range(0, split.k2 + 1):
             yield from combinations(split.right, size)
 
     def hits(subset: tuple[int, ...]) -> bool:
-        outcome = bipartite_preserving_sequence(g, split, subset)
+        outcome = _finish_pattern(g.n, list(first), split.left, subset)
         return outcome.ok and tuple(sorted(outcome.graph.degrees())) == target
 
     gen = all_subsets()

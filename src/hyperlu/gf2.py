@@ -1,7 +1,9 @@
 """Dense GF(2) linear algebra on word-packed rows.
 
 Rows are Python ints used as bitsets (bit t = column t), so row
-operations are single XORs regardless of width.
+operations are single XORs regardless of width. One forward elimination,
+keyed by each row's lowest set bit, serves the rank, the echelon basis
+and the solver.
 """
 
 from __future__ import annotations
@@ -12,8 +14,23 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatchError
 
 
-def _lowest_bit(x: int) -> int:
-    return (x & -x).bit_length() - 1
+def pivot_table(rows: Iterable[int]) -> dict[int, int]:
+    """Forward elimination, in the order given: each row is reduced
+    against the table so far and what is left is stored under its
+    lowest set bit (a power of two).
+
+    The stored rows have distinct lowest bits and span the input rows.
+    """
+    table: dict[int, int] = {}
+    for cur in rows:
+        while cur:
+            low = cur & -cur
+            pivot = table.get(low)
+            if pivot is None:
+                table[low] = cur
+                break
+            cur ^= pivot
+    return table
 
 
 @dataclass
@@ -43,19 +60,7 @@ class GF2Matrix:
         return cls(len(packed), ncols if ncols is not None else width, packed)
 
     def rank(self) -> int:
-        work = list(self.rows)
-        rank = 0
-        for row in work:
-            cur = row
-            # reduce against the growing basis held in work[:rank]
-            for b in work[:rank]:
-                low = b & -b
-                if cur & low:
-                    cur ^= b
-            if cur:
-                work[rank] = cur
-                rank += 1
-        return rank
+        return len(pivot_table(self.rows))
 
 
 @dataclass
@@ -72,7 +77,9 @@ def solve_linear_gf2(m: GF2Matrix, rhs: int | Sequence[int]) -> GF2Solution | No
 
     ``rhs`` is either a bitmask over rows or a 0/1 sequence of length
     nrows. The nullspace basis is complete: every solution is the
-    particular point plus a subset XOR of the basis.
+    particular point plus a subset XOR of the basis. The result depends
+    only on the row space of the augmented system (it is read off the
+    reduced echelon form), not on the order or multiplicity of rows.
     """
     if isinstance(rhs, int):
         rhs_mask = rhs
@@ -86,53 +93,49 @@ def solve_linear_gf2(m: GF2Matrix, rhs: int | Sequence[int]) -> GF2Solution | No
         rhs_mask = sum((b & 1) << i for i, b in enumerate(rhs))
 
     aug_bit = 1 << m.ncols
-    work = [m.rows[i] | (aug_bit if (rhs_mask >> i) & 1 else 0) for i in range(m.nrows)]
+    distinct = {r | aug_bit if (rhs_mask >> i) & 1 else r for i, r in enumerate(m.rows)}
+    # sparse rows first, and among equally sparse ones those reaching
+    # furthest: this keeps fill-in low; the order does not change the result
+    work = sorted(distinct, key=int.bit_length, reverse=True)
+    work.sort(key=int.bit_count)
+    table = pivot_table(work)
+    if aug_bit in table:
+        return None  # 0 = 1
 
-    pivot_rows: list[int] = []  # reduced rows with distinct pivot columns
-    pivot_cols: list[int] = []
-    for row in work:
-        cur = row
-        for pr, pc in zip(pivot_rows, pivot_cols):
-            if (cur >> pc) & 1:
-                cur ^= pr
-        if cur == aug_bit:
-            return None  # 0 = 1
-        if cur & (aug_bit - 1):
-            pc = _lowest_bit(cur & (aug_bit - 1))
-            # back-substitute into existing pivots to reach reduced form
-            for t, pr in enumerate(pivot_rows):
-                if (pr >> pc) & 1:
-                    pivot_rows[t] = pr ^ cur
-            pivot_rows.append(cur)
-            pivot_cols.append(pc)
+    # back-substitution, highest pivot first: the rows of higher pivots
+    # are already reduced, so each pivot bit of a row is cleared by one XOR
+    pivot_mask = sum(table)  # the keys are distinct powers of two
+    reduced: dict[int, int] = {}
+    for low in sorted(table, reverse=True):
+        row = table[low]
+        above = (row & pivot_mask) ^ low
+        while above:
+            bit = above & -above
+            row ^= reduced[bit]
+            above ^= bit
+        reduced[low] = row
 
-    pivots = dict(zip(pivot_cols, pivot_rows))
+    free_mask = (aug_bit - 1) ^ pivot_mask
     particular = 0
-    for pc, pr in pivots.items():
-        if pr & aug_bit:
-            particular |= 1 << pc
-    free_cols = [c for c in range(m.ncols) if c not in pivots]
-    basis = []
-    for f in free_cols:
-        vec = 1 << f
-        for pc, pr in pivots.items():
-            if (pr >> f) & 1:
-                vec |= 1 << pc
-        basis.append(vec)
-    return GF2Solution(m.ncols, particular, tuple(basis))
+    basis = {}
+    for low, row in reduced.items():
+        if row & aug_bit:
+            particular |= low
+        free = row & free_mask
+        while free:
+            bit = free & -free
+            basis[bit] = basis.get(bit, bit) | low
+            free ^= bit
+    vectors = []
+    while free_mask:
+        bit = free_mask & -free_mask
+        vectors.append(basis.get(bit, bit))
+        free_mask ^= bit
+    return GF2Solution(m.ncols, particular, tuple(vectors))
 
 
 def echelonize(vectors: Iterable[int]) -> list[int]:
-    """Reduce bitmask vectors to a basis with distinct lowest set bits,
-    sorted by that leading bit."""
-    table: dict[int, int] = {}
-    for v in vectors:
-        cur = v
-        while cur:
-            lead = _lowest_bit(cur)
-            if lead in table:
-                cur ^= table[lead]
-            else:
-                table[lead] = cur
-                break
+    """Reduce bitmask vectors, in the order given, to a basis with
+    distinct lowest set bits, sorted by that leading bit."""
+    table = pivot_table(vectors)
     return [table[k] for k in sorted(table)]

@@ -144,10 +144,20 @@ class SimpleGraph:
                 raise VertexRangeError(f"row {i} has bits beyond n={self.n}")
             if (r >> i) & 1:
                 raise ValueError(f"nonzero diagonal at {i}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if ((self.rows[i] >> j) & 1) != ((self.rows[j] >> i) & 1):
-                    raise ValueError(f"adjacency not symmetric at ({i},{j})")
+        # transpose by walking set bits; the first row differing from its
+        # column has its first mismatch above the diagonal, at its lowest bit
+        cols = [0] * self.n
+        for i, r in enumerate(self.rows):
+            bit = 1 << i
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= bit
+                r ^= low
+        for i, (r, c) in enumerate(zip(self.rows, cols)):
+            if r != c:
+                diff = r ^ c
+                j = (diff & -diff).bit_length() - 1
+                raise ValueError(f"adjacency not symmetric at ({i},{j})")
 
     @classmethod
     def _trusted(cls, n: int, rows: tuple[int, ...]) -> "SimpleGraph":

@@ -24,7 +24,7 @@ from .errors import (
     InconclusiveError,
     PreconditionError,
 )
-from .gf2 import GF2Matrix, echelonize, solve_linear_gf2
+from .gf2 import GF2Matrix, echelonize, pivot_table, solve_linear_gf2
 from .hypergraph import SimpleGraph
 from .transforms import local_complement, local_complement_rows
 
@@ -60,38 +60,55 @@ class CliffordWitness:
         return {"a": list(self.a), "b": list(self.b), "c": list(self.c), "d": list(self.d)}
 
 
+def _bits(x: int):
+    """Indices of the set bits of ``x``, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _spread(x: int) -> int:
+    """Bit i of ``x`` moved to bit 4i, so that spread(x & y) = spread(x) & spread(y)."""
+    return int("000".join(bin(x)[2:]), 2)
+
+
 def _lc_system(g1: SimpleGraph, g2: SimpleGraph) -> GF2Matrix:
-    """n^2 x 4n system over columns (a_i, b_i, c_i, d_i) per vertex."""
+    """Rows spanning the n^2 x 4n system over columns (a_i, b_i, c_i, d_i).
+
+    Row (j, k) of t1 C t2 + t1 A + D t2 + B holds a_k if k is in N1(j),
+    b_j if k = j, c_i for every i in N1(j) & N2(k), and d_j if k is in
+    N2(j). Rows with k in N1(j) + {j} are emitted as they are. For every
+    other k only the c and d parts remain: the image of column k of the
+    matrix with rows t2[i] & rest (i in N1(j)) and t2[j] & rest under a
+    one-to-one map of its rows onto columns. So the rows at that matrix's
+    pivot columns span all of them, and the row space is that of the
+    full system: about n * (2 * degree + 2) rows instead of n^2.
+    """
     n = g1.n
     t1, t2 = g1.rows, g2.rows
+    c1 = [_spread(r) << 2 for r in t1]  # c_i for i in N1(j)
+    c2 = [_spread(r) << 2 for r in t2]  # c_i for i in N2(k)
+    full = (1 << n) - 1
     rows = []
     for j in range(n):
-        r1j = t1[j]
-        for k in range(n):
-            row = 0
-            if (r1j >> k) & 1:
+        r1, r2, cj = t1[j], t2[j], c1[j]
+        own = r1 | (1 << j)
+        rest = full ^ own
+        images = [t2[i] & rest for i in _bits(r1)]
+        images.append(r2 & rest)
+        ks = own | sum(pivot_table(images))  # keys: distinct powers of two
+        d_bit = 1 << (4 * j + 3)
+        for k in _bits(ks):
+            row = cj & c2[k]
+            if (r1 >> k) & 1:
                 row |= 1 << (4 * k)  # a_k
-            if j == k:
+            elif k == j:
                 row |= 1 << (4 * j + 1)  # b_j
-            m = r1j
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                if (t2[i] >> k) & 1:
-                    row |= 1 << (4 * i + 2)  # c_i
-                m ^= low
-            if (t2[j] >> k) & 1:
-                row |= 1 << (4 * j + 3)  # d_j
+            if (r2 >> k) & 1:
+                row |= d_bit  # d_j
             rows.append(row)
-    return GF2Matrix(n * n, 4 * n, rows)
-
-
-def _identity_mask(n: int) -> int:
-    x = 0
-    for i in range(n):
-        x |= 1 << (4 * i)  # a_i = 1
-        x |= 1 << (4 * i + 3)  # d_i = 1
-    return x
+    return GF2Matrix(len(rows), 4 * n, rows)
 
 
 def _witness_from_mask(x: int, n: int) -> CliffordWitness:
@@ -189,19 +206,32 @@ def lc_equivalent(
     return witness
 
 
+def _bit_matrix(g: SimpleGraph) -> np.ndarray:
+    """Adjacency as an n x n 0/1 array, unpacked from the row bitmasks."""
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.rows), np.uint8)
+    bits = np.unpackbits(packed.reshape(g.n, width), axis=1, count=g.n, bitorder="little")
+    return bits.astype(np.int64)
+
+
 def verify_witness(g1: SimpleGraph, g2: SimpleGraph, w: CliffordWitness) -> bool:
-    """Independent re-check of both witness equations, via numpy mod 2."""
+    """Independent re-check of both witness equations, via numpy mod 2.
+
+    t1 C t2 + t1 A + D t2 + B is evaluated densely. The diagonal
+    matrices act by broadcast scaling of columns (A) and rows (D), and
+    C by keeping the columns of t1 and rows of t2 where c_i = 1.
+    """
     n = g1.n
     if not (g2.n == n == len(w.a)):
         raise DimensionMismatchError("sizes of graphs and witness differ")
-    t1 = np.array([[(g1.rows[i] >> j) & 1 for j in range(n)] for i in range(n)], dtype=np.int64)
-    t2 = np.array([[(g2.rows[i] >> j) & 1 for j in range(n)] for i in range(n)], dtype=np.int64)
-    a, b = np.diag(np.array(w.a)), np.diag(np.array(w.b))
-    c, d = np.diag(np.array(w.c)), np.diag(np.array(w.d))
-    residual = (t1 @ c @ t2 + t1 @ a + d @ t2 + b) % 2
-    if residual.any():
+    t1, t2 = _bit_matrix(g1), _bit_matrix(g2)
+    a, b, c, d = (np.array(v, dtype=np.int64) for v in (w.a, w.b, w.c, w.d))
+    keep = c % 2 == 1
+    residual = t1[:, keep] @ t2[keep] + t1 * a[None, :] + d[:, None] * t2
+    residual[np.diag_indices(n)] += b
+    if (residual % 2).any():
         return False
-    nondeg = (np.array(w.a) * np.array(w.d) + np.array(w.b) * np.array(w.c)) % 2
+    nondeg = (a * d + b * c) % 2
     return bool(np.all(nondeg == 1))
 
 
@@ -258,12 +288,17 @@ class BipartiteSplit:
     def k2(self) -> int:
         return len(self.right)
 
-    def validate(self, g: SimpleGraph) -> None:
+    def validate_partition(self, n: int) -> None:
+        """The sides are disjoint and cover the vertices 0..n-1."""
         left, right = set(self.left), set(self.right)
         if left & right:
             raise PreconditionError(f"sides overlap: {sorted(left & right)}")
-        if left | right != set(range(g.n)):
+        if left | right != set(range(n)):
             raise PreconditionError("sides do not cover the vertex set")
+
+    def validate(self, g: SimpleGraph) -> None:
+        """A partition of g's vertices with no edge inside a side."""
+        self.validate_partition(g.n)
         for side, name in ((self.left, "left"), (self.right, "right")):
             mask = sum(1 << v for v in side)
             for v in side:

@@ -63,7 +63,7 @@ def graph_from_adjacency_text(text: str) -> SimpleGraph:
     for ln in lines[1:]:
         if len(ln) != n or set(ln) - {"0", "1"}:
             raise ValueError(f"bad adjacency row {ln!r}")
-        rows.append(sum(1 << j for j, ch in enumerate(ln) if ch == "1"))
+        rows.append(int(ln[::-1], 2))
     return SimpleGraph(n, tuple(rows))
 
 

@@ -184,6 +184,22 @@ def test_verify_against_imported_matrix(tmp_path, capsys):
     assert code in (0, 2)
 
 
+def test_verify_against_builds_the_construction_once(tmp_path, monkeypatch, capsys):
+    from hyperlu import counterexamples as cx
+
+    g, _ = cx.build(cx.TwentySeven())
+    imported = tmp_path / "imported.adj"
+    imported.write_text(serialize.graph_to_adjacency_text(g))
+    calls = []
+    build = cx.build
+    monkeypatch.setattr(cx, "build", lambda spec: calls.append(spec) or build(spec))
+    code = run("verify", "--spec", "twentyseven", "--against", str(imported), "--budget", "50")
+    payload = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert payload["confirmed"] and payload["against"]["lc_verdict"] == "witness"
+    assert [] in payload["against"]["search"]["candidates"] and code == 2
+
+
 def test_failed_internal_check_exits_70(monkeypatch, capsys):
     """A failed witness replay is a crash, not a negative verdict."""
     from hyperlu import counterexamples as cx

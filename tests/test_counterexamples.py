@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -225,6 +226,16 @@ class TestBipartitePreserving:
         with pytest.raises(PreconditionError):
             cx.bipartite_preserving_sequence(g, split, (0,))
 
+    def test_overlapping_split_is_rejected(self):
+        from hyperlu.hypergraph import path_graph
+
+        g = path_graph(4)
+        split = BipartiteSplit((0, 1, 2), (1, 2, 3))
+        with pytest.raises(PreconditionError, match="sides overlap"):
+            cx.bipartite_preserving_sequence(g, split, ())
+        with pytest.raises(PreconditionError, match="sides overlap"):
+            cx.degree_distribution_search(g, split, g.degrees(), budget=5)
+
     def test_twentyseven_mixed_subset_keeps_6_21_split(self):
         """Some six-vertex subset, four from one wing and two from the
         other, keeps the graph bipartite with a 6 vs 21 split.
@@ -278,6 +289,25 @@ class TestDegreeSearch:
         g, split = cx.build(cx.BipartiteSubsets(3, 2))
         result = cx.degree_distribution_search(g, split, [99] * g.n, budget=20)
         assert result.candidates == []
+
+    def test_matches_pattern_per_subset(self):
+        """The search, which runs the first stage once, finds exactly the
+        subsets whose full pattern hits the target degrees."""
+        g, split = cx.build(cx.TwentySeven())
+        pick = (split.right[0], split.right[7])
+        target = sorted(cx.bipartite_preserving_sequence(g, split, pick).graph.degrees())
+        subsets = [
+            subset
+            for size in range(split.k2 + 1)
+            for subset in itertools.combinations(split.right, size)
+        ][:400]
+        expected = []
+        for subset in subsets:
+            outcome = cx.bipartite_preserving_sequence(g, split, subset)
+            if outcome.ok and sorted(outcome.graph.degrees()) == target:
+                expected.append(subset)
+        result = cx.degree_distribution_search(g, split, target, budget=400)
+        assert result.candidates == expected and pick in expected
 
     def test_budget_exhaustion_is_flagged(self):
         g, split = cx.build(cx.BipartiteSubsets(3, 2))
