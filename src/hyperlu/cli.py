@@ -15,7 +15,7 @@ import sys
 from . import counterexamples as cx
 from . import oracle, serialize
 from .errors import HyperluError, InconclusiveError
-from .hypergraph import from_graph, star_graph, to_graph
+from .hypergraph import check_vertex_count, from_graph, star_graph, to_graph
 from .lc_solver import lc_equivalent, lc_orbit
 from .transforms import apply_sequence, state_delta
 
@@ -42,6 +42,8 @@ def _emit(path: str | None, text: str) -> None:
 
 
 def _cmd_gen(args) -> int:
+    if args.kind in ("star", "bipartite"):
+        check_vertex_count(args.n)
     if args.kind == "star":
         graph = star_graph(args.n)
     elif args.kind == "g2h7":

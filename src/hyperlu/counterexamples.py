@@ -31,6 +31,7 @@ from .hypergraph import (
     Edge,
     SimpleGraph,
     WeightedHypergraph,
+    check_vertex_count,
     from_graph,
     states_equal,
     to_graph,
@@ -109,9 +110,11 @@ def build(
     """Deterministic construction: left block first, right blocks in
     lexicographic subset order."""
     if isinstance(spec, BipartiteSubsets):
+        check_vertex_count(spec.n)
         count = math.comb(spec.n, spec.r)
         if count > right_cap:
             raise SizeLimitError(f"C({spec.n},{spec.r})={count} exceeds cap {right_cap}")
+        check_vertex_count(spec.n + count)
         edges = []
         v = spec.n
         for subset in combinations(range(spec.n), spec.r):
@@ -215,15 +218,19 @@ class LuDerivation:
 def _raw_sweep_deltas(
     g: SimpleGraph, split: BipartiteSplit, alpha: Fraction
 ) -> dict[Edge, Fraction]:
-    """Exact pre-reduction edge deltas of X^alpha on every right vertex."""
-    raw: dict[Edge, Fraction] = defaultdict(Fraction)
+    """Exact pre-reduction edge deltas of X^alpha on every right vertex.
+
+    Each right vertex contributes (-2)**(|S|-1) * alpha on every nonempty
+    subset S of its neighbors; the subsets are counted first and each
+    distinct one scaled once, in order of first appearance.
+    """
+    counts: dict[Edge, int] = defaultdict(int)
     for v in split.right:
         nbrs = g.neighbors(v)
         for size in range(1, len(nbrs) + 1):
-            contrib = Fraction((-2) ** (size - 1)) * alpha
             for subset in combinations(nbrs, size):
-                raw[subset] += contrib
-    return dict(raw)
+                counts[subset] += 1
+    return {s: Fraction((-2) ** (len(s) - 1)) * alpha * c for s, c in counts.items()}
 
 
 def derive_lu_partner(g: SimpleGraph, split: BipartiteSplit) -> LuDerivation:

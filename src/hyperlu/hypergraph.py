@@ -13,10 +13,22 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import DimensionMismatchError, VertexRangeError
+from .errors import DimensionMismatchError, SizeLimitError, VertexRangeError
 from .weights import ONE, ZERO, Weight
 
 Edge = tuple[int, ...]
+
+# Largest vertex count accepted from input and construction specs. An
+# edge on vertex v is a (v + 1)-bit mask inside the engine, so loading
+# bounds n; 2^18 leaves room for bipartite constructions with 100,000
+# left and 100,000 right vertices.
+MAX_VERTICES = 1 << 18
+
+
+def check_vertex_count(n: int) -> None:
+    """Reject a vertex count above :data:`MAX_VERTICES` from input."""
+    if n > MAX_VERTICES:
+        raise SizeLimitError(f"vertex count {n} exceeds {MAX_VERTICES}")
 
 
 def normalize_edge(vertices: Iterable[int]) -> Edge:
@@ -26,6 +38,30 @@ def normalize_edge(vertices: Iterable[int]) -> Edge:
         if not isinstance(v, int) or v < 0:
             raise VertexRangeError(f"bad vertex {v!r}")
     return tuple(vs)
+
+
+def edge_to_mask(e: Iterable[int]) -> int:
+    """Bitmask of a vertex set: bit v set iff v is in ``e``."""
+    m = 0
+    for v in e:
+        m |= 1 << v
+    return m
+
+
+# the vertex tuples of all masks below 256, built once at import
+_BYTE_EDGES = tuple(tuple(v for v in range(8) if (b >> v) & 1) for b in range(256))
+
+
+def mask_to_edge(mask: int) -> Edge:
+    """Sorted vertex tuple of a bitmask; the inverse of :func:`edge_to_mask`."""
+    if mask < 256:
+        return _BYTE_EDGES[mask]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -188,12 +224,11 @@ class SimpleGraph:
         return bool((self.rows[i] >> j) & 1)
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if (self.rows[i] >> j) & 1
-        ]
+        """Edges (i, j), i < j, in lexicographic order."""
+        out = []
+        for i, r in enumerate(self.rows):
+            out += [(i, j) for j in mask_to_edge(r >> (i + 1) << (i + 1))]
+        return out
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
@@ -202,7 +237,7 @@ class SimpleGraph:
         return self.rows[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if (self.rows[v] >> j) & 1)
+        return mask_to_edge(self.rows[v])
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -255,7 +290,8 @@ class SimpleGraph:
 
 def from_graph(g: SimpleGraph) -> WeightedHypergraph:
     """Graph state: every graph edge becomes a 2-edge of weight 1."""
-    return WeightedHypergraph.make(g.n, {e: ONE for e in g.edge_list()})
+    # edge_list is sorted and duplicate-free, so the edges are canonical
+    return WeightedHypergraph(g.n, tuple((e, ONE) for e in g.edge_list()))
 
 
 def is_graph_state(h: WeightedHypergraph) -> bool:

@@ -121,14 +121,23 @@ def _witness_from_mask(x: int, n: int) -> CliffordWitness:
 
 
 def _vertex_pattern_spans(basis: list[int], n: int) -> list[set[int]]:
-    """Achievable 4-bit patterns per vertex (projection of the nullspace)."""
-    spans = []
-    for v in range(n):
-        span = {0}
-        for vec in basis:
+    """Achievable 4-bit patterns per vertex (projection of the nullspace).
+
+    Each basis vector's nonzero 4-bit blocks are walked once; a vertex's
+    span depends only on the distinct patterns seen there.
+    """
+    seen = [0] * n  # bit p set iff pattern p occurs at the vertex
+    for vec in basis:
+        while vec:
+            v = ((vec & -vec).bit_length() - 1) >> 2
             p = (vec >> (4 * v)) & 15
-            if p:
-                span |= {s ^ p for s in span}
+            seen[v] |= 1 << p
+            vec ^= p << (4 * v)
+    spans = []
+    for patterns in seen:
+        span = {0}
+        for p in _bits(patterns):
+            span |= {s ^ p for s in span}
         spans.append(span)
     return spans
 

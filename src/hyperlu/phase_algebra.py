@@ -18,23 +18,19 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeLimitError
-from .hypergraph import Edge, normalize_edge
+from .hypergraph import Edge, edge_to_mask, mask_to_edge, normalize_edge
 from .weights import Weight
 
 _MAX_ORACLE_QUBITS = 12
 
 
-def power_of_product(
-    edges: Sequence[Edge], alpha: Weight, prune: bool = True
-) -> dict[Edge, Weight]:
-    """Weighted-edge delta of raising a product of edge gates to ``alpha``.
+def expand_masks(masks: Sequence[int], alpha: Weight, prune: bool = True) -> dict[int, int]:
+    """Mask-level delta of raising a product of edge gates to ``alpha``.
 
-    ``edges`` must be pairwise distinct; the empty edge is allowed and
-    union contributions on it land on the returned () key (a global
-    phase). With ``prune`` unset, all 2**k - 1 subsets are enumerated,
-    which must agree exactly with the pruned result.
+    ``masks`` are the gates' edges as vertex bitmasks (0 is the empty
+    edge); the result maps each union mask to its weight numerator over
+    2**alpha.exp, reduced modulo 2 and nonzero, in first-union order.
     """
-    masks = [sum(1 << v for v in normalize_edge(e)) for e in edges]
     if len(set(masks)) != len(masks):
         raise ValueError("edges of a gate product must be pairwise distinct")
     if alpha.is_zero or not masks:
@@ -45,7 +41,7 @@ def power_of_product(
         raise SizeLimitError(f"unpruned enumeration over {k} edges")
 
     # all contributions share the denominator 2**alpha.exp, so the DFS
-    # accumulates raw integer numerators; Weights are built once per union
+    # accumulates raw integer numerators
     contribs = [alpha.num * (-2) ** d for d in range(max_size)]
     acc: dict[int, int] = {}
 
@@ -59,20 +55,23 @@ def power_of_product(
 
     extend(0, 0, 0)
 
-    wrap = (1 << (alpha.exp + 1)) - 1  # num & wrap == 0 iff weight is 0 mod 2
-    out: dict[Edge, Weight] = {}
-    for mask, num in acc.items():
-        if num & wrap == 0:
-            continue
-        e = _TUPLE_CACHE.get(mask)
-        if e is None:
-            e = tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
-            _TUPLE_CACHE[mask] = e
-        out[e] = Weight(num, alpha.exp)
-    return out
+    wrap = (2 << alpha.exp) - 1  # num & wrap == 0 iff weight is 0 mod 2
+    return {mask: red for mask, num in acc.items() if (red := num & wrap)}
 
 
-_TUPLE_CACHE: dict[int, Edge] = {}
+def power_of_product(
+    edges: Sequence[Edge], alpha: Weight, prune: bool = True
+) -> dict[Edge, Weight]:
+    """Weighted-edge delta of raising a product of edge gates to ``alpha``.
+
+    ``edges`` must be pairwise distinct; the empty edge is allowed and
+    union contributions on it land on the returned () key (a global
+    phase). With ``prune`` unset, all 2**k - 1 subsets are enumerated,
+    which must agree exactly with the pruned result.
+    """
+    masks = [edge_to_mask(normalize_edge(e)) for e in edges]
+    delta = expand_masks(masks, alpha, prune)
+    return {mask_to_edge(m): Weight(num, alpha.exp) for m, num in delta.items()}
 
 
 def involution_power_check(diag: np.ndarray, alpha: float | Weight) -> np.ndarray:

@@ -14,6 +14,7 @@ from typing import Any
 from .hypergraph import (
     SimpleGraph,
     WeightedHypergraph,
+    check_vertex_count,
     from_graph,
     to_graph,
 )
@@ -30,8 +31,10 @@ def hypergraph_to_dict(h: WeightedHypergraph) -> dict:
 
 
 def hypergraph_from_dict(data: dict) -> WeightedHypergraph:
+    n = int(data["n"])
+    check_vertex_count(n)
     return WeightedHypergraph.make(
-        int(data["n"]),
+        n,
         [(tuple(item["v"]), Weight.parse(item["w"])) for item in data["edges"]],
         Weight.parse(data.get("phase", "0")),
     )
@@ -57,6 +60,7 @@ def graph_from_adjacency_text(text: str) -> SimpleGraph:
     if not lines:
         raise ValueError("empty adjacency input")
     n = int(lines[0])
+    check_vertex_count(n)
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} adjacency rows, got {len(lines) - 1}")
     rows = []

@@ -7,7 +7,8 @@ complementation (on graphs directly, or as its gate composite on graph
 states).
 
 Every rule is implemented once, on :class:`_Fold`: a mutable working
-copy of a state keyed by edge bitmasks. A sequence folds all its gates
+copy of a state, integer weight numerators keyed by edge bitmasks with
+an index from each vertex to its edges. A sequence folds all its gates
 over one working copy and canonicalizes once at the end; the
 single-gate functions are one-gate folds.
 """
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from .errors import PreconditionError, SequenceStepError, VertexRangeError
-from .hypergraph import Edge, SimpleGraph, WeightedHypergraph
-from .phase_algebra import power_of_product
-from .weights import HALF, ONE, ZERO, Weight
+from .hypergraph import Edge, SimpleGraph, WeightedHypergraph, edge_to_mask, mask_to_edge
+from .phase_algebra import expand_masks
+from .weights import HALF, ZERO, Weight
 
 GateKind = Literal["X", "Xp", "Zp", "LC"]
 
@@ -67,90 +68,129 @@ def lc_gate(q: int) -> GateApplication:
     return GateApplication(q, "LC")
 
 
-def _mask(e: Edge) -> int:
-    m = 0
-    for v in e:
-        m |= 1 << v
-    return m
-
-
-def _edge(mask: int) -> Edge:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 class _Fold:
-    """Mutable working state: bitmask-keyed nonzero weights and a phase.
+    """Mutable working state: nonzero weight numerators keyed by edge bitmask.
 
+    ``nums`` maps each edge mask (0 is the empty edge, the global phase)
+    to its numerator over the shared denominator 2**exp, reduced modulo
+    2; ``exp`` only grows, when a gate needs a finer denominator.
+    ``index`` maps each vertex that has edges to the masks of its edges.
     Built from a canonical state, which it never modifies; every rule
     reads its precondition from the working state, so a gate sees the
     effect of all gates folded before it.
     """
 
-    __slots__ = ("n", "weights", "phase")
+    __slots__ = ("n", "exp", "nums", "index")
 
     def __init__(self, h: WeightedHypergraph):
         self.n = h.n
-        self.weights = {_mask(e): w for e, w in h.edges}
-        self.phase = h.phase
+        self.exp = max([w.exp for _, w in h.edges] + [h.phase.exp])
+        self.nums: dict[int, int] = {}
+        self.index: dict[int, set[int]] = {}
+        for e, w in h.edges:
+            m = edge_to_mask(e)
+            self.nums[m] = w.num << (self.exp - w.exp)
+            for v in e:
+                self.index.setdefault(v, set()).add(m)
+        if h.phase:
+            self.nums[0] = h.phase.num << (self.exp - h.phase.exp)
+
+    def weight(self, num: int) -> Weight:
+        """The weight of a numerator over 2**exp, reduced here by its
+        trailing zeros so that ``Weight`` does not halve it bit by bit."""
+        shift = min(self.exp, (num & -num).bit_length() - 1) if num else 0
+        return Weight(num >> shift, self.exp - shift)
 
     def state(self) -> WeightedHypergraph:
         """The canonical state: edges sorted as vertex tuples."""
-        edges = sorted((_edge(m), w) for m, w in self.weights.items())
-        return WeightedHypergraph(self.n, tuple(edges), self.phase)
+        phase = self.weight(self.nums.get(0, 0))
+        edges = sorted((mask_to_edge(m), self.weight(num)) for m, num in self.nums.items() if m)
+        return WeightedHypergraph(self.n, tuple(edges), phase)
 
-    def add(self, mask: int, w: Weight) -> None:
-        """Add ``w`` (mod 2) on the edge ``mask``; the empty edge is the phase."""
-        if not mask:
-            self.phase += w
-            return
-        total = self.weights.get(mask, ZERO) + w
-        if total.is_zero:
-            self.weights.pop(mask, None)
-        else:
-            self.weights[mask] = total
+    def lift(self, exp: int) -> None:
+        """Raise the shared denominator to at least 2**exp."""
+        if exp > self.exp:
+            shift = exp - self.exp
+            self.nums = {m: num << shift for m, num in self.nums.items()}
+            self.exp = exp
+
+    def scaled(self, w: Weight) -> int:
+        """``w`` as a numerator over 2**exp, lifting exp when ``w`` needs it."""
+        self.lift(w.exp)
+        return w.num << (self.exp - w.exp)
+
+    def add(self, mask: int, num: int) -> None:
+        """Add ``num / 2**exp`` (mod 2) on the edge ``mask``."""
+        nums, index = self.nums, self.index
+        old = nums.get(mask, 0)  # stored numerators are nonzero
+        total = (old + num) & ((2 << self.exp) - 1)
+        if total:
+            nums[mask] = total
+            if old:
+                return
+            rest = mask
+            while rest:
+                low = rest & -rest
+                index.setdefault(low.bit_length() - 1, set()).add(mask)
+                rest ^= low
+        elif old:
+            del nums[mask]
+            rest = mask
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                masks = index[v]
+                masks.discard(mask)
+                if not masks:
+                    del index[v]
+                rest ^= low
 
     def check_vertex(self, i: int) -> None:
         if not (0 <= i < self.n):
             raise VertexRangeError(f"vertex {i} out of range for n={self.n}")
 
-    def incident(self, i: int) -> list[tuple[int, Weight]]:
-        bit = 1 << i
-        return [(m, w) for m, w in self.weights.items() if m & bit]
+    def incident(self, i: int) -> list[int]:
+        return list(self.index.get(i, ()))
 
     def link(self, i: int) -> list[int]:
         """Masks of the edges at ``i`` with ``i`` removed; all need weight 1."""
         self.check_vertex(i)
         incident = self.incident(i)
-        bad = [(_edge(m), w) for m, w in incident if w != ONE]
+        one = 1 << self.exp
+        bad = [
+            (mask_to_edge(m), self.weight(self.nums[m])) for m in incident if self.nums[m] != one
+        ]
         if bad:
             e, w = min(bad)
             raise PreconditionError(f"edge {e} at vertex {i} has weight {w}, need 1", edge=e)
-        return [m ^ (1 << i) for m, _ in incident]
+        return [m ^ (1 << i) for m in incident]
 
     def z_power(self, i: int, alpha: Weight) -> None:
         self.check_vertex(i)
-        self.add(1 << i, alpha)
+        self.add(1 << i, self.scaled(alpha))
 
     def pauli_x(self, i: int, extended: bool = False) -> None:
         if not extended:
+            one = 1 << self.exp
             for m in self.link(i):
-                self.add(m, ONE)
+                self.add(m, one)
             return
         self.check_vertex(i)
         bit = 1 << i
-        for m, w in self.incident(i):
-            self.add(m ^ bit, w)
-            self.add(m, w * -2)
+        for m in self.incident(i):
+            num = self.nums[m]
+            self.add(m ^ bit, num)
+            self.add(m, -2 * num)
+
+    def expand(self, masks: list[int], alpha: Weight) -> None:
+        """Add the power-of-product delta of the gates on ``masks``."""
+        self.lift(alpha.exp)
+        shift = self.exp - alpha.exp
+        for m, num in expand_masks(masks, alpha).items():
+            self.add(m, num << shift)
 
     def x_power(self, i: int, alpha: Weight) -> None:
-        delta = power_of_product([_edge(m) for m in self.link(i)], alpha)
-        for e, w in delta.items():
-            self.add(_mask(e), w)
+        self.expand(self.link(i), alpha)
 
     def local_complement(self, v: int) -> None:
         """The X^(1/2) + neighbor-Z composite.
@@ -160,16 +200,23 @@ class _Fold:
         """
         self.check_vertex(v)
         incident = self.incident(v)
-        bad = [(_edge(m), w) for m, w in incident if m.bit_count() != 2 or w != ONE]
+        one = 1 << self.exp
+        bad = [
+            (mask_to_edge(m), self.weight(self.nums[m]))
+            for m in incident
+            if m.bit_count() != 2 or self.nums[m] != one
+        ]
         if bad:
             e, w = min(bad)
             raise PreconditionError(
                 f"LC needs weight-1 two-edges at vertex {v}, found {e} weight {w}",
                 edge=e,
             )
-        self.x_power(v, LC_X_EXPONENT)
-        for m, _ in incident:
-            self.add(m ^ (1 << v), LC_NEIGHBOR_Z_EXPONENT)
+        bit = 1 << v
+        self.expand([m ^ bit for m in incident], LC_X_EXPONENT)
+        z = self.scaled(LC_NEIGHBOR_Z_EXPONENT)
+        for m in incident:
+            self.add(m ^ bit, z)
 
     def apply(self, gate: GateApplication) -> None:
         if gate.kind == "X":
@@ -187,12 +234,14 @@ class _Fold:
 def link(h: WeightedHypergraph, i: int) -> list[Edge]:
     """Edges of ``h`` containing ``i``, each with ``i`` removed.
 
-    May include the empty edge (when {i} itself is an edge). Requires
-    every edge at ``i`` to carry weight 1; fractional incidence has no
+    Listed in the canonical order of the full edges, so the empty edge
+    (when {i} itself is an edge) comes where {i} does. Requires every
+    edge at ``i`` to carry weight 1; fractional incidence has no
     product-of-involutions form (see :func:`apply_pauli_x` extended
     mode for the Pauli-X special case).
     """
-    return [_edge(m) for m in _Fold(h).link(i)]
+    reduced = _Fold(h).link(i)
+    return [mask_to_edge(m) for m in sorted(reduced, key=lambda m: mask_to_edge(m | 1 << i))]
 
 
 def apply_z_power(h: WeightedHypergraph, i: int, alpha: Weight) -> WeightedHypergraph:

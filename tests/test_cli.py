@@ -243,3 +243,48 @@ def test_huge_weight_exponent_is_a_data_error(tmp_path, capsys, where):
     assert run("transform", str(state), str(seq)) == 3
     assert time.perf_counter() - start < 1.0
     assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "{state}", "{seq}"],
+        ["check-lc", "{adj}", "{adj}"],
+        ["gen", "star", "--n", "1000000000000"],
+        ["gen", "bipartite", "--n", "1000000000000", "--r", "1000000000000"],
+        ["verify", "--spec", "bipartite:1000000000000:1000000000000"],
+    ],
+)
+def test_huge_vertex_count_is_a_data_error(tmp_path, capsys, argv):
+    """A vertex count beyond MAX_VERTICES is refused where it enters,
+    before any mask or adjacency row of that size is built."""
+    import time
+
+    state = tmp_path / "s.json"
+    seq = tmp_path / "q.json"
+    adj = tmp_path / "g.adj"
+    n = 10**12
+    state.write_text(json.dumps({"n": n, "edges": [{"v": [n - 1], "w": "1"}], "phase": "0"}))
+    seq.write_text(json.dumps([{"q": 0, "g": "Xp", "a": "1/4"}]))
+    adj.write_text(f"{n}\n")
+    paths = {"state": state, "seq": seq, "adj": adj}
+    start = time.perf_counter()
+    assert run(*[a.format(**paths) for a in argv]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds" in capsys.readouterr().err
+
+
+def test_state_at_the_vertex_cap_transforms(tmp_path, capsys):
+    from hyperlu.hypergraph import MAX_VERTICES
+
+    n = MAX_VERTICES
+    state = tmp_path / "s.json"
+    seq = tmp_path / "q.json"
+    edges = [{"v": [0, n - 1], "w": "1"}, {"v": [1, n - 1], "w": "1"}, {"v": [n - 2], "w": "1/4"}]
+    state.write_text(json.dumps({"n": n, "edges": edges, "phase": "0"}))
+    seq.write_text(json.dumps([{"q": n - 1, "g": "LC"}, {"q": n - 1, "g": "Xp", "a": "1/4"}]))
+    assert run("transform", str(state), str(seq), "--out", str(tmp_path / "o.json")) == 0
+    out = serialize.load_hypergraph(tmp_path / "o.json")
+    assert out.n == n and out.weight((n - 2,)) == Weight(1, 2)
+    state.write_text(json.dumps({"n": n + 1, "edges": [], "phase": "0"}))
+    assert run("transform", str(state), str(seq)) == 3
