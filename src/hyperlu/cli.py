@@ -145,7 +145,7 @@ def _cmd_check_lc(args) -> int:
 def _cmd_orbit(args) -> int:
     g = serialize.load_graph(args.graph)
     orbit = lc_orbit(g, cap=args.cap)
-    print(f"orbit size: {len(orbit.graphs)}")
+    print(f"orbit size: {orbit.size}")
     if args.out:
         blocks = sorted(
             serialize.graph_to_adjacency_text(member) for member in orbit.graphs

@@ -12,7 +12,6 @@ refuted exactly over GF(2), with an edge-parity certificate.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -104,6 +103,22 @@ def parse_spec(text: str) -> ConstructionSpec:
     raise ValueError(f"unknown construction spec {text!r}")
 
 
+def _binomial_within(n: int, r: int, cap: int) -> int | None:
+    """C(n, r), or None once it exceeds ``cap``.
+
+    Builds C(n - r + k, k) for k = 1..r with r = min(r, n - r); the
+    sequence never decreases, so it stops at the first term past the cap
+    instead of computing a binomial of any size in full.
+    """
+    r = min(r, n - r)
+    count = 1
+    for k in range(1, r + 1):
+        count = count * (n - r + k) // k
+        if count > cap:
+            return None
+    return count if count <= cap else None
+
+
 def build(
     spec: ConstructionSpec, right_cap: int = DEFAULT_RIGHT_CAP
 ) -> tuple[SimpleGraph, BipartiteSplit]:
@@ -111,9 +126,9 @@ def build(
     lexicographic subset order."""
     if isinstance(spec, BipartiteSubsets):
         check_vertex_count(spec.n)
-        count = math.comb(spec.n, spec.r)
-        if count > right_cap:
-            raise SizeLimitError(f"C({spec.n},{spec.r})={count} exceeds cap {right_cap}")
+        count = _binomial_within(spec.n, spec.r, right_cap)
+        if count is None:
+            raise SizeLimitError(f"C({spec.n},{spec.r}) exceeds cap {right_cap}")
         check_vertex_count(spec.n + count)
         edges = []
         v = spec.n

@@ -233,9 +233,6 @@ class SimpleGraph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def neighbor_mask(self, v: int) -> int:
-        return self.rows[v]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return mask_to_edge(self.rows[v])
 

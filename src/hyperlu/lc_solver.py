@@ -14,8 +14,11 @@ labeled: no permutations are tried.
 from __future__ import annotations
 
 import math
+import struct
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -244,38 +247,109 @@ def verify_witness(g1: SimpleGraph, g2: SimpleGraph, w: CliffordWitness) -> bool
     return bool(np.all(nondeg == 1))
 
 
-@dataclass(frozen=True)
 class Orbit:
-    """Closure of a labeled graph under local complementation."""
+    """Closure of a labeled graph under local complementation.
 
-    graphs: frozenset[SimpleGraph]
-    truncated: bool
+    ``size`` counts the members without building them; ``graphs`` wraps
+    them as :class:`SimpleGraph` on first read and keeps the set.
+    """
+
+    def __init__(self, n: int, members: set, rows_of: Callable, truncated: bool) -> None:
+        self._n = n
+        self._members = members
+        self._rows_of = rows_of
+        self.size = len(members)
+        self.truncated = truncated
+
+    @cached_property
+    def graphs(self) -> frozenset[SimpleGraph]:
+        n, rows_of, wrap = self._n, self._rows_of, SimpleGraph._trusted
+        return frozenset([wrap(n, rows_of(m)) for m in self._members])
+
+
+# Up to this many vertices the orbit walk packs a graph into one int
+# (16 is also the widest row its 16-bit row width holds). Above it, the
+# packed toggles and hashes cost O(n^2) bits per local complementation,
+# against O(degree) row updates, and the rows win.
+PACKED_MAX_N = 16
+
+
+class _Toggles(dict):
+    """Packed local-complementation toggles keyed by the neighbourhood
+    mask m: rows i in m flip the columns m minus i. At most 2^n keys."""
+
+    def __init__(self, n: int, w: int) -> None:
+        super().__init__()
+        self._sep = "0" * (w - 1)
+        self._nodiag = ((1 << n * w) - 1) ^ sum(1 << i * (w + 1) for i in range(n))
+
+    def __missing__(self, m: int) -> int:
+        # bit i of m to bit i*w; the product copies m into each row i in
+        # m without carries, as the copies occupy disjoint w-bit rows
+        spread = int(self._sep.join(bin(m)[2:]), 2)
+        t = self[m] = (spread * m) & self._nodiag
+        return t
+
+
+def _packed_walk(g: SimpleGraph):
+    """Start, step and unpacking with row i at bits [i*w, i*w + n) of one
+    int, for a row width w of 8 or 16 bits: the rows of a member unpack
+    in one ``struct`` call instead of n shifts."""
+    n = g.n
+    w, code = (8, "B") if n <= 8 else (16, "H")
+    full = (1 << n) - 1
+    shifts = range(0, n * w, w)
+    toggles = _Toggles(n, w)
+
+    def step(cur: int) -> list[int]:
+        return [cur ^ toggles[(cur >> s) & full] for s in shifts]
+
+    unpack = struct.Struct(f"<{n}{code}").unpack
+    nbytes = n * w // 8
+
+    def rows_of(packed: int) -> tuple[int, ...]:
+        return unpack(packed.to_bytes(nbytes, "little"))
+
+    start = sum(r << s for r, s in zip(g.rows, shifts))
+    return start, step, rows_of
+
+
+def _row_walk(g: SimpleGraph):
+    """Start, step and unpacking on adjacency row tuples."""
+    n = g.n
+
+    # a generator, so a walk that stops at the cap skips the remaining
+    # O(degree) complementations of its last member
+    def step(cur: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        for v in range(n):
+            rows = list(cur)
+            local_complement_rows(rows, v)
+            yield tuple(rows)
+
+    return g.rows, step, tuple
 
 
 def lc_orbit(g: SimpleGraph, cap: int = 10_000) -> Orbit:
     """BFS closure under local complementation at every vertex.
 
-    The search runs on row tuples; members are wrapped once at the end.
-    Stops expanding once ``cap`` graphs were collected; the partial
-    result is flagged.
+    Graphs of at most ``PACKED_MAX_N`` vertices are walked as one packed
+    int each, larger ones as row tuples; both visit members in the same
+    order. Stops expanding once ``cap`` graphs were collected; the
+    partial result is flagged.
     """
-    seen = {g.rows}
-    queue = deque([g.rows])
+    start, step, rows_of = (_packed_walk if g.n <= PACKED_MAX_N else _row_walk)(g)
+    seen = {start}
+    queue = deque([start])
     truncated = False
-    while queue:
-        cur = queue.popleft()
-        for v in range(g.n):
-            rows = list(cur)
-            local_complement_rows(rows, v)
-            nxt = tuple(rows)
+    while queue and not truncated:
+        for nxt in step(queue.popleft()):
             if nxt not in seen:
                 if len(seen) >= cap:
                     truncated = True
-                    queue.clear()
                     break
                 seen.add(nxt)
                 queue.append(nxt)
-    return Orbit(frozenset(SimpleGraph._trusted(g.n, r) for r in seen), truncated)
+    return Orbit(g.n, seen, rows_of, truncated)
 
 
 @dataclass(frozen=True)

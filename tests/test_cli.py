@@ -136,6 +136,28 @@ def test_orbit_cap_gives_inconclusive_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_orbit_without_out_builds_no_member_graph(tmp_path, capsys, monkeypatch):
+    """The size is counted on the walk's own members; SimpleGraphs are
+    built only when ``--out`` reads them."""
+    from hyperlu.hypergraph import SimpleGraph, path_graph
+
+    built = []
+    trusted = SimpleGraph._trusted.__func__
+    monkeypatch.setattr(
+        SimpleGraph, "_trusted", classmethod(lambda cls, n, rows: built.append(n) or trusted(cls, n, rows))
+    )
+    for n in (9, 17):  # packed walk and row walk
+        p = tmp_path / f"p{n}.adj"
+        p.write_text(serialize.graph_to_adjacency_text(path_graph(n)))
+        built.clear()
+        assert run("orbit", str(p), "--cap", "500") == 2
+        assert "orbit size: 500" in capsys.readouterr().out
+        assert built == []
+        assert run("orbit", str(p), "--cap", "500", "--out", str(tmp_path / "o.txt")) == 2
+        assert len(built) == 500
+    capsys.readouterr()
+
+
 def test_export_dot_and_adjacency(tmp_path):
     state = tmp_path / "star.json"
     dot = tmp_path / "star.dot"
@@ -272,6 +294,17 @@ def test_huge_vertex_count_is_a_data_error(tmp_path, capsys, argv):
     assert run(*[a.format(**paths) for a in argv]) == 3
     assert time.perf_counter() - start < 1.0
     assert "exceeds" in capsys.readouterr().err
+
+
+def test_over_cap_binomial_is_refused_without_computing_it(capsys):
+    """C(2^18, 2^17) has about 78,000 digits; the incremental binomial
+    stops at the first partial product past the right-side cap."""
+    import time
+
+    start = time.perf_counter()
+    assert run("verify", "--spec", "bipartite:262144:131072") == 3
+    assert time.perf_counter() - start < 0.2
+    assert "C(262144,131072) exceeds cap 100000" in capsys.readouterr().err
 
 
 def test_state_at_the_vertex_cap_transforms(tmp_path, capsys):

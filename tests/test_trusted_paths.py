@@ -11,14 +11,14 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs, simple_graphs
 from hyperlu import counterexamples as cx
-from hyperlu import serialize
+from hyperlu import lc_solver, serialize
 from hyperlu.errors import VertexRangeError
-from hyperlu.hypergraph import SimpleGraph
+from hyperlu.hypergraph import SimpleGraph, complete_graph, path_graph, star_graph
 from hyperlu.lc_solver import BipartiteSplit, lc_orbit
 from hyperlu.transforms import local_complement
 
@@ -136,14 +136,65 @@ class TestLocalComplement:
 
 
 class TestOrbit:
+    # graphs on both sides of lc_solver.PACKED_MAX_N = 16 (packed ints up
+    # to 16 vertices, row tuples above)
     @settings(max_examples=60, deadline=None)
-    @given(simple_graphs(max_n=9), st.integers(min_value=1, max_value=40))
+    @given(simple_graphs(max_n=18), st.integers(min_value=1, max_value=40))
+    @example(path_graph(16), 25)
+    @example(path_graph(17), 25)
+    @example(complete_graph(16), 3)
+    @example(star_graph(17), 40)
     def test_matches_validated_bfs_under_small_caps(self, g, cap):
         orbit = lc_orbit(g, cap=cap)
         members, truncated = slow_orbit(g, cap)
+        assert orbit.size == len(orbit.graphs)
         assert orbit.graphs == frozenset(members)
         assert orbit.truncated == truncated
         assert all(SimpleGraph(m.n, m.rows) == m for m in orbit.graphs)
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_orbit_out_file_matches_row_walk_and_validated_bfs(self, tmp_path, capsys, monkeypatch, n):
+        """Either side of the packed limit, the ``--out`` file equals the
+        one of a forced row walk and the sorted blocks of ``slow_orbit``."""
+        import random
+
+        from hyperlu.cli import main
+
+        rng = random.Random(n)
+        g = SimpleGraph.from_edges(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.3])
+        path = tmp_path / "g.adj"
+        path.write_text(serialize.graph_to_adjacency_text(g))
+        results = []
+        for limit in (lc_solver.PACKED_MAX_N, 0):  # as shipped, then rows only
+            monkeypatch.setattr(lc_solver, "PACKED_MAX_N", limit)
+            out = tmp_path / f"orbit{limit}.txt"
+            code = main(["orbit", str(path), "--cap", "700", "--out", str(out)])
+            results.append((code, capsys.readouterr().out, out.read_text()))
+        assert results[0] == results[1]
+        members, truncated = slow_orbit(g, 700)
+        assert truncated and results[0][0] == 2
+        assert results[0][2] == "\n".join(sorted(serialize.graph_to_adjacency_text(m) for m in members))
+
+    def test_toggle_memo_holds_at_most_one_entry_per_neighbourhood(self, monkeypatch):
+        memos = []
+
+        class Recording(lc_solver._Toggles):
+            def __init__(self, n, w):
+                super().__init__(n, w)
+                memos.append((n, self))
+
+        monkeypatch.setattr(lc_solver, "_Toggles", Recording)
+        cycle10 = SimpleGraph.from_edges(10, [(i, (i + 1) % 10) for i in range(10)])
+        cases = ((complete_graph(4), 100), (cycle10, 100_000), (path_graph(16), 3000))
+        orbits = [lc_orbit(g, cap=cap) for g, cap in cases]
+        assert [n for n, _ in memos] == [4, 10, 16]
+        for (n, memo), orbit in zip(memos, orbits):
+            assert len(memo) <= 1 << n
+            # keyed by the neighbourhoods of expanded members: all of
+            # them for a full orbit, some of them for a truncated one
+            rows = {r for m in orbit.graphs for r in m.rows}
+            assert set(memo) == rows if not orbit.truncated else set(memo) <= rows
+        assert [o.truncated for o in orbits] == [False, False, True]
 
     @settings(max_examples=30, deadline=None)
     @given(simple_graphs(max_n=6))
