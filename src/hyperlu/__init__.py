@@ -5,107 +5,9 @@ local gates, GF(2) decision of local-Clifford equivalence, construction
 and verification of graph-state pairs that are locally equivalent but
 not Clifford equivalent, and a brute-force state-vector oracle backing
 every symbolic rule.
+
+The package root exports nothing: callers import the submodules
+(``from hyperlu import cli``, ``from hyperlu.lc_solver import lc_equivalent``).
 """
-
-from .errors import (
-    CancellationError,
-    DimensionMismatchError,
-    HyperluError,
-    InconclusiveError,
-    NonDyadicError,
-    PreconditionError,
-    SequenceStepError,
-    SizeLimitError,
-    VertexRangeError,
-)
-from .hypergraph import (
-    Edge,
-    SimpleGraph,
-    WeightedHypergraph,
-    add_weight,
-    canonicalize,
-    complete_graph,
-    from_graph,
-    is_graph_state,
-    normalize_edge,
-    path_graph,
-    star_graph,
-    states_equal,
-    to_graph,
-)
-from .lc_solver import (
-    BipartiteSplit,
-    CliffordWitness,
-    Orbit,
-    complementation_edge_parity,
-    lc_equivalent,
-    lc_orbit,
-    lemma_case_analysis,
-    verify_witness,
-)
-from .phase_algebra import involution_power_check, power_of_product
-from .transforms import (
-    GateApplication,
-    GateSequence,
-    apply_pauli_x,
-    apply_sequence,
-    apply_x_power,
-    apply_z_power,
-    link,
-    local_complement,
-    local_complement_sequence,
-    x_gate,
-    x_power_gate,
-    z_power_gate,
-)
-from .weights import Weight
-
-__all__ = [
-    "BipartiteSplit",
-    "CancellationError",
-    "CliffordWitness",
-    "DimensionMismatchError",
-    "Edge",
-    "GateApplication",
-    "GateSequence",
-    "HyperluError",
-    "InconclusiveError",
-    "NonDyadicError",
-    "Orbit",
-    "PreconditionError",
-    "SequenceStepError",
-    "SimpleGraph",
-    "SizeLimitError",
-    "VertexRangeError",
-    "Weight",
-    "WeightedHypergraph",
-    "add_weight",
-    "apply_pauli_x",
-    "apply_sequence",
-    "apply_x_power",
-    "apply_z_power",
-    "canonicalize",
-    "complementation_edge_parity",
-    "complete_graph",
-    "from_graph",
-    "involution_power_check",
-    "is_graph_state",
-    "lc_equivalent",
-    "lc_orbit",
-    "lemma_case_analysis",
-    "link",
-    "local_complement",
-    "local_complement_sequence",
-    "normalize_edge",
-    "path_graph",
-    "power_of_product",
-    "star_graph",
-    "states_equal",
-    "to_graph",
-    "verify_witness",
-    "x_gate",
-    "x_power_gate",
-    "z_power_gate",
-]
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import counterexamples as cx
-from . import oracle, serialize
+from . import serialize
 from .errors import HyperluError, InconclusiveError
 from .hypergraph import check_vertex_count, from_graph, star_graph, to_graph
 from .lc_solver import lc_equivalent, lc_orbit
@@ -158,6 +158,8 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    from . import oracle  # numpy-backed; loaded only for this command
+
     state = serialize.load_state(args.state)
     seq = serialize.load_sequence(args.sequence)
     symbolic = apply_sequence(state, list(seq))

@@ -46,19 +46,6 @@ class GF2Matrix:
             if r >> self.ncols:
                 raise ValueError("row has bits beyond ncols")
 
-    @classmethod
-    def from_bit_rows(cls, bits: Sequence[Iterable[int]], ncols: int | None = None) -> "GF2Matrix":
-        packed = []
-        width = 0
-        for row in bits:
-            r = 0
-            for j, b in enumerate(row):
-                if b & 1:
-                    r |= 1 << j
-                width = max(width, j + 1)
-            packed.append(r)
-        return cls(len(packed), ncols if ncols is not None else width, packed)
-
     def rank(self) -> int:
         return len(pivot_table(self.rows))
 

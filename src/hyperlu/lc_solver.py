@@ -18,9 +18,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import (
     DimensionMismatchError,
@@ -30,6 +28,9 @@ from .errors import (
 from .gf2 import GF2Matrix, echelonize, pivot_table, solve_linear_gf2
 from .hypergraph import SimpleGraph
 from .transforms import local_complement, local_complement_rows
+
+if TYPE_CHECKING:  # numpy is imported by the witness re-check, not at start-up
+    import numpy as np
 
 # 4-bit local patterns (a | b<<1 | c<<2 | d<<3) with a*d + b*c = 1;
 # exactly the six invertible 2x2 binary matrices.
@@ -71,9 +72,10 @@ def _bits(x: int):
         x ^= low
 
 
-def _spread(x: int) -> int:
-    """Bit i of ``x`` moved to bit 4i, so that spread(x & y) = spread(x) & spread(y)."""
-    return int("000".join(bin(x)[2:]), 2)
+def _spread(x: int, width: int) -> int:
+    """Bit i of ``x`` moved to bit i * width, so that
+    spread(x & y) = spread(x) & spread(y)."""
+    return int(("0" * (width - 1)).join(bin(x)[2:]), 2)
 
 
 def _lc_system(g1: SimpleGraph, g2: SimpleGraph) -> GF2Matrix:
@@ -90,8 +92,8 @@ def _lc_system(g1: SimpleGraph, g2: SimpleGraph) -> GF2Matrix:
     """
     n = g1.n
     t1, t2 = g1.rows, g2.rows
-    c1 = [_spread(r) << 2 for r in t1]  # c_i for i in N1(j)
-    c2 = [_spread(r) << 2 for r in t2]  # c_i for i in N2(k)
+    c1 = [_spread(r, 4) << 2 for r in t1]  # c_i for i in N1(j)
+    c2 = [_spread(r, 4) << 2 for r in t2]  # c_i for i in N2(k)
     full = (1 << n) - 1
     rows = []
     for j in range(n):
@@ -220,6 +222,8 @@ def lc_equivalent(
 
 def _bit_matrix(g: SimpleGraph) -> np.ndarray:
     """Adjacency as an n x n 0/1 array, unpacked from the row bitmasks."""
+    import numpy as np
+
     width = (g.n + 7) // 8
     packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.rows), np.uint8)
     bits = np.unpackbits(packed.reshape(g.n, width), axis=1, count=g.n, bitorder="little")
@@ -233,6 +237,8 @@ def verify_witness(g1: SimpleGraph, g2: SimpleGraph, w: CliffordWitness) -> bool
     matrices act by broadcast scaling of columns (A) and rows (D), and
     C by keeping the columns of t1 and rows of t2 where c_i = 1.
     """
+    import numpy as np
+
     n = g1.n
     if not (g2.n == n == len(w.a)):
         raise DimensionMismatchError("sizes of graphs and witness differ")
@@ -280,14 +286,13 @@ class _Toggles(dict):
 
     def __init__(self, n: int, w: int) -> None:
         super().__init__()
-        self._sep = "0" * (w - 1)
+        self._w = w
         self._nodiag = ((1 << n * w) - 1) ^ sum(1 << i * (w + 1) for i in range(n))
 
     def __missing__(self, m: int) -> int:
         # bit i of m to bit i*w; the product copies m into each row i in
         # m without carries, as the copies occupy disjoint w-bit rows
-        spread = int(self._sep.join(bin(m)[2:]), 2)
-        t = self[m] = (spread * m) & self._nodiag
+        t = self[m] = (_spread(m, self._w) * m) & self._nodiag
         return t
 
 

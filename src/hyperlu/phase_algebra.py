@@ -13,13 +13,14 @@ accordingly, which keeps high-degree vertices tractable.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import SizeLimitError
 from .hypergraph import Edge, edge_to_mask, mask_to_edge, normalize_edge
 from .weights import Weight
+
+if TYPE_CHECKING:  # numpy is imported where the oracle check runs, not at start-up
+    import numpy as np
 
 _MAX_ORACLE_QUBITS = 12
 
@@ -82,6 +83,8 @@ def involution_power_check(diag: np.ndarray, alpha: float | Weight) -> np.ndarra
     dumb: no edge structure, just the eigenvalue substitution that
     defines the power of an involution.
     """
+    import numpy as np
+
     d = np.asarray(diag)
     if d.ndim != 1 or d.size == 0 or d.size & (d.size - 1):
         raise ValueError("diagonal length must be a power of two")

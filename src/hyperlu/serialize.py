@@ -22,6 +22,38 @@ from .transforms import GateApplication, GateSequence
 from .weights import Weight
 
 
+_JSON_TYPES = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+    list: "an array", dict: "an object", type(None): "null",
+}
+
+
+def _json_type(value: Any) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _field(obj: Any, key: str, kind: type, what: str, index: int | None = None) -> Any:
+    """``obj[key]``, which must be of the JSON type ``kind``; ``what``
+    and ``index`` name ``obj`` in the error.
+
+    Types are matched exactly, so a boolean is not an integer and a
+    number with a fraction is not a vertex. A missing key or a wrong
+    type is a data error (``ValueError``), never a crash.
+    """
+    if type(obj) is dict and type(value := obj.get(key)) is kind:
+        return value
+    where = what if index is None else f"{what} {index}"
+    if type(obj) is not dict:
+        raise ValueError(f"{where} must be an object, not {_json_type(obj)}")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r}")
+    raise ValueError(f"{where}: {key!r} must be {_JSON_TYPES[kind]}, not {_json_type(value)}")
+
+
+def _weight(obj: dict, key: str, what: str, index: int | None = None) -> Weight:
+    return Weight.parse(_field(obj, key, str, what, index))
+
+
 def hypergraph_to_dict(h: WeightedHypergraph) -> dict:
     return {
         "n": h.n,
@@ -31,13 +63,19 @@ def hypergraph_to_dict(h: WeightedHypergraph) -> dict:
 
 
 def hypergraph_from_dict(data: dict) -> WeightedHypergraph:
-    n = int(data["n"])
+    n = _field(data, "n", int, "state")
+    if n < 0:
+        raise ValueError(f"state: vertex count {n} is negative")
     check_vertex_count(n)
-    return WeightedHypergraph.make(
-        n,
-        [(tuple(item["v"]), Weight.parse(item["w"])) for item in data["edges"]],
-        Weight.parse(data.get("phase", "0")),
-    )
+    items = []
+    for i, item in enumerate(_field(data, "edges", list, "state")):
+        vertices = _field(item, "v", list, "state edge", i)
+        for v in vertices:
+            if type(v) is not int:
+                raise ValueError(f"state edge {i}: vertex must be an integer, not {_json_type(v)}")
+        items.append((vertices, _weight(item, "w", "state edge", i)))
+    phase = _weight(data, "phase", "state") if "phase" in data else Weight(0)
+    return WeightedHypergraph.make(n, items, phase)
 
 
 def dump_hypergraph(h: WeightedHypergraph) -> str:
@@ -104,13 +142,15 @@ def sequence_to_list(seq: GateSequence | list[GateApplication]) -> list[dict]:
 
 
 def sequence_from_list(items: list[dict]) -> GateSequence:
+    if type(items) is not list:
+        raise ValueError(f"gate sequence must be an array, not {_json_type(items)}")
     gates = []
-    for item in items:
-        kind = item["g"]
+    for i, item in enumerate(items):
+        kind = _field(item, "g", str, "gate", i)
         if kind not in _KINDS:
             raise ValueError(f"unknown gate kind {kind!r}")
-        exponent = Weight.parse(item["a"]) if "a" in item else None
-        gates.append(GateApplication(int(item["q"]), kind, exponent))
+        exponent = _weight(item, "a", "gate", i) if "a" in item else None
+        gates.append(GateApplication(_field(item, "q", int, "gate", i), kind, exponent))
     return tuple(gates)
 
 

@@ -95,16 +95,11 @@ class _Fold:
         if h.phase:
             self.nums[0] = h.phase.num << (self.exp - h.phase.exp)
 
-    def weight(self, num: int) -> Weight:
-        """The weight of a numerator over 2**exp, reduced here by its
-        trailing zeros so that ``Weight`` does not halve it bit by bit."""
-        shift = min(self.exp, (num & -num).bit_length() - 1) if num else 0
-        return Weight(num >> shift, self.exp - shift)
-
     def state(self) -> WeightedHypergraph:
         """The canonical state: edges sorted as vertex tuples."""
-        phase = self.weight(self.nums.get(0, 0))
-        edges = sorted((mask_to_edge(m), self.weight(num)) for m, num in self.nums.items() if m)
+        exp = self.exp
+        phase = Weight(self.nums.get(0, 0), exp)
+        edges = sorted((mask_to_edge(m), Weight(num, exp)) for m, num in self.nums.items() if m)
         return WeightedHypergraph(self.n, tuple(edges), phase)
 
     def lift(self, exp: int) -> None:
@@ -158,7 +153,9 @@ class _Fold:
         incident = self.incident(i)
         one = 1 << self.exp
         bad = [
-            (mask_to_edge(m), self.weight(self.nums[m])) for m in incident if self.nums[m] != one
+            (mask_to_edge(m), Weight(self.nums[m], self.exp))
+            for m in incident
+            if self.nums[m] != one
         ]
         if bad:
             e, w = min(bad)
@@ -202,7 +199,7 @@ class _Fold:
         incident = self.incident(v)
         one = 1 << self.exp
         bad = [
-            (mask_to_edge(m), self.weight(self.nums[m]))
+            (mask_to_edge(m), Weight(self.nums[m], self.exp))
             for m in incident
             if m.bit_count() != 2 or self.nums[m] != one
         ]

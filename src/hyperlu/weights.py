@@ -38,9 +38,10 @@ class Weight:
         num, exp = self.num, self.exp
         if exp < 0:
             raise ValueError(f"negative denominator exponent: {exp}")
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
+        if num:  # cancel common factors of two: num's trailing zeros, at most exp
+            shift = min(exp, (num & -num).bit_length() - 1)
+            num >>= shift
+            exp -= shift
         num %= 1 << (exp + 1)
         if num == 0:
             exp = 0

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -321,3 +325,97 @@ def test_state_at_the_vertex_cap_transforms(tmp_path, capsys):
     assert out.n == n and out.weight((n - 2,)) == Weight(1, 2)
     state.write_text(json.dumps({"n": n + 1, "edges": [], "phase": "0"}))
     assert run("transform", str(state), str(seq)) == 3
+
+
+_GOOD_STATE = {"n": 2, "edges": [{"v": [0, 1], "w": "1"}], "phase": "0"}
+_GOOD_SEQ = [{"q": 0, "g": "X"}]
+
+
+@pytest.mark.parametrize(
+    "state, seq, message",
+    [
+        ({"n": 2, "edges": [{"w": "1"}]}, _GOOD_SEQ, "state edge 0 has no 'v'"),
+        ({"n": 2, "edges": 5}, _GOOD_SEQ, "state: 'edges' must be an array, not an integer"),
+        (_GOOD_STATE, [{"g": "X"}], "gate 0 has no 'q'"),
+        ({"edges": []}, _GOOD_SEQ, "state has no 'n'"),
+        ({"n": 2, "edges": [{"v": [0, 1]}]}, _GOOD_SEQ, "state edge 0 has no 'w'"),
+        ({"n": 2, "edges": [[0, 1]]}, _GOOD_SEQ, "state edge 0 must be an object, not an array"),
+        ({"n": 2, "edges": [{"v": [0, 1], "w": 1}]}, _GOOD_SEQ, "'w' must be a string"),
+        ({**_GOOD_STATE, "phase": 1}, _GOOD_SEQ, "state: 'phase' must be a string"),
+        ({"n": -1, "edges": []}, _GOOD_SEQ, "vertex count -1 is negative"),
+        (_GOOD_STATE, [{"q": 0}], "gate 0 has no 'g'"),
+        (_GOOD_STATE, [{"q": 0, "g": ["X"]}], "gate 0: 'g' must be a string"),
+        (_GOOD_STATE, [{"q": 0, "g": "Xp", "a": 0.25}], "gate 0: 'a' must be a string"),
+        (_GOOD_STATE, {"q": 0, "g": "X"}, "gate sequence must be an array, not an object"),
+        (_GOOD_STATE, ["X"], "gate 0 must be an object, not a string"),
+    ],
+)
+def test_malformed_json_is_a_data_error(tmp_path, capsys, state, seq, message):
+    """A missing key or a wrong JSON type is refused where the file is
+    read (exit 3), not left to crash deeper in (exit 70)."""
+    (tmp_path / "s.json").write_text(json.dumps(state))
+    (tmp_path / "q.json").write_text(json.dumps(seq))
+    assert run("transform", str(tmp_path / "s.json"), str(tmp_path / "q.json")) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "state, seq, message",
+    [
+        # {0, True} would load as the edge (0, True) and write back as true
+        ({"n": 2, "edges": [{"v": [0, True], "w": "1"}]}, _GOOD_SEQ, "not a boolean"),
+        # {1, True} == {1} would silently become the edge (1,)
+        ({"n": 2, "edges": [{"v": [1, True], "w": "1"}]}, _GOOD_SEQ, "not a boolean"),
+        ({"n": 2, "edges": [{"v": [0, 1.0], "w": "1"}]}, _GOOD_SEQ, "not a number"),
+        ({"n": 2, "edges": [{"v": [0, "1"], "w": "1"}]}, _GOOD_SEQ, "not a string"),
+        ({"n": 2.9, "edges": []}, _GOOD_SEQ, "'n' must be an integer, not a number"),
+        ({"n": True, "edges": []}, _GOOD_SEQ, "'n' must be an integer, not a boolean"),
+        ({"n": "2", "edges": []}, _GOOD_SEQ, "'n' must be an integer, not a string"),
+        (_GOOD_STATE, [{"q": 1.7, "g": "X"}], "'q' must be an integer, not a number"),
+        (_GOOD_STATE, [{"q": True, "g": "X"}], "'q' must be an integer, not a boolean"),
+    ],
+)
+def test_indices_must_be_integers(tmp_path, capsys, state, seq, message):
+    (tmp_path / "s.json").write_text(json.dumps(state))
+    (tmp_path / "q.json").write_text(json.dumps(seq))
+    assert run("transform", str(tmp_path / "s.json"), str(tmp_path / "q.json")) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_export_refuses_a_boolean_vertex(tmp_path, capsys):
+    state = tmp_path / "s.json"
+    state.write_text('{"n": 2, "edges": [{"v": [0, true], "w": "1"}]}')
+    assert run("export", str(state), "--json", "-") == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "not a boolean" in err
+
+
+_START_UP_PROBE = """
+import contextlib, io, sys
+import hyperlu.cli
+assert "numpy" not in sys.modules, "import hyperlu.cli loaded numpy"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert hyperlu.cli.main(["verify", "--spec", "twentyseven"]) == 0
+assert "numpy" not in sys.modules, "verify twentyseven loaded numpy"
+with contextlib.redirect_stdout(io.StringIO()):
+    hyperlu.cli.main(["verify", "--spec", "bipartite:11:6"])
+assert "numpy" in sys.modules, "the witness re-check ran without numpy"
+"""
+
+
+def test_numpy_loads_only_where_a_numpy_path_runs():
+    """In a fresh interpreter: importing the CLI and verifying
+    ``twentyseven`` (no LC witness to re-check) leave numpy unloaded;
+    ``bipartite:11:6`` has a witness, and its re-check loads numpy."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_UP_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -31,7 +31,7 @@ def span(particular: int, basis: tuple[int, ...]) -> set[int]:
 
 
 def test_identity_system():
-    m = GF2Matrix.from_bit_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ncols=3)
+    m = GF2Matrix(3, 3, [0b001, 0b010, 0b100])
     sol = solve_linear_gf2(m, [1, 0, 1])
     assert sol is not None
     assert sol.particular == 0b101
@@ -58,8 +58,8 @@ def test_rhs_length_checked():
 
 
 def test_rank_examples():
-    assert GF2Matrix.from_bit_rows([[1, 1], [1, 1]], ncols=2).rank() == 1
-    assert GF2Matrix.from_bit_rows([[1, 0], [0, 1]], ncols=2).rank() == 2
+    assert GF2Matrix(2, 2, [0b11, 0b11]).rank() == 1
+    assert GF2Matrix(2, 2, [0b01, 0b10]).rank() == 2
     assert GF2Matrix(3, 4, [0, 0, 0]).rank() == 0
 
 

@@ -107,3 +107,9 @@ class TestDot:
     def test_phase_label(self):
         h = WeightedHypergraph.make(1, phase=Weight(1, 1))
         assert 'label="phase 1/2"' in serialize.hypergraph_to_dot(h)
+
+
+@pytest.mark.parametrize("data", [[1, 2], None, "n", 3])
+def test_state_must_be_an_object(data):
+    with pytest.raises(ValueError, match="state must be an object"):
+        serialize.hypergraph_from_dict(data)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,24 @@ def test_zero_normal_form():
     z = Weight(0, 5)
     assert z.num == 0 and z.exp == 0
     assert z.is_zero and not z
+
+
+def test_normal_form_matches_fractions_up_to_the_parse_cap():
+    """Seeded numerators with many trailing zeros (so the reduction
+    cancels many factors of two at once), both signs, against Fraction,
+    at denominator exponents up to MAX_PARSED_EXPONENT."""
+    rng = random.Random(20261018)
+    exps = [0, 1, 2, 63, 64, 65, MAX_PARSED_EXPONENT - 1, MAX_PARSED_EXPONENT]
+    exps += [rng.randint(0, MAX_PARSED_EXPONENT) for _ in range(400)]
+    for exp in exps:
+        for _ in range(5):
+            zeros = rng.randint(0, exp + 3)
+            num = rng.choice([-1, 1]) * (rng.getrandbits(rng.randint(0, exp + 3)) << zeros)
+            # lowest terms within [0, 2): num odd, or zero over 2**0
+            expected = Fraction(num, 1 << exp) % 2
+            normal = (expected.numerator, expected.denominator.bit_length() - 1)
+            for w in (Weight(num, exp), Weight.parse(f"{num}/2^{exp}")):
+                assert (w.num, w.exp) == normal
 
 
 @pytest.mark.parametrize(
