@@ -34,6 +34,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low`` (else exit 64)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _emit(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -221,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--spec", required=True, help="bipartite:N:R or twentyseven")
     ver.add_argument("--report", help="write the JSON report here")
     ver.add_argument("--against", help="adjacency file to compare against")
-    ver.add_argument("--budget", type=int, default=1000, help="search budget")
+    ver.add_argument("--budget", type=_int_at_least(0), default=1000, help="search budget")
     ver.set_defaults(func=_cmd_verify)
 
     chk = sub.add_parser("check-lc", help="decide LC equivalence of two graphs")
@@ -231,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     orb = sub.add_parser("orbit", help="local-complementation orbit of a graph")
     orb.add_argument("graph")
-    orb.add_argument("--cap", type=int, default=10_000)
+    orb.add_argument("--cap", type=_int_at_least(1), default=10_000)
     orb.add_argument("--out", help="write orbit members as adjacency blocks")
     orb.set_defaults(func=_cmd_orbit)
 

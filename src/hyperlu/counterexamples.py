@@ -275,7 +275,11 @@ def derive_lu_partner(g: SimpleGraph, split: BipartiteSplit) -> LuDerivation:
         (e[0], -w) for e, w in state.edges if len(e) == 1
     ]
     fixes: GateSequence = tuple(z_power_gate(q, w) for q, w in corrections)
-    final = apply_sequence(state, fixes)
+    # each fix Z^(-w) on {q} cancels exactly the weight w of the edge {q}
+    # and touches no other edge; the witness replay applies them for real
+    final = WeightedHypergraph(
+        state.n, tuple((e, w) for e, w in state.edges if len(e) != 1), state.phase
+    )
 
     grouped: dict[tuple[int, Fraction], int] = defaultdict(int)
     for e, frac in raw.items():

@@ -70,25 +70,14 @@ class WeightedHypergraph:
 
     ``edges`` is sorted lexicographically on the vertex tuples, holds no
     zero weights and no empty edge (that folds into ``phase``).
-    Construct through :meth:`make`, which canonicalizes arbitrary input.
+    Input enters through :meth:`make`, which canonicalizes it and checks
+    its vertex range; the constructor trusts its caller (the gate fold
+    and :func:`from_graph` build canonical edges).
     """
 
     n: int
     edges: tuple[tuple[Edge, Weight], ...] = ()
     phase: Weight = ZERO
-
-    def __post_init__(self) -> None:
-        last: Edge | None = None
-        for e, w in self.edges:
-            if not e:
-                raise ValueError("empty edge must fold into phase")
-            if e[-1] >= self.n:
-                raise VertexRangeError(f"edge {e} out of range for n={self.n}")
-            if w.is_zero:
-                raise ValueError(f"zero weight stored for edge {e}")
-            if last is not None and not last < e:
-                raise ValueError("edges not in canonical order")
-            last = e
 
     @classmethod
     def make(
@@ -130,19 +119,6 @@ class WeightedHypergraph:
         body = ", ".join(f"{set(e) if e else '{}'}:{w}" for e, w in self.edges)
         tail = f", phase={self.phase}" if self.phase else ""
         return f"WHG(n={self.n}, {{{body}}}{tail})"
-
-
-def canonicalize(h: WeightedHypergraph) -> WeightedHypergraph:
-    """Re-reduce a state; identity on canonical input (idempotent)."""
-    return WeightedHypergraph.make(h.n, h.edges, h.phase)
-
-
-def add_weight(h: WeightedHypergraph, e: Iterable[int], w: Weight) -> WeightedHypergraph:
-    """Add ``w`` (mod 2) to edge ``e``; result is canonical."""
-    key = normalize_edge(e)
-    if key and key[-1] >= h.n:
-        raise VertexRangeError(f"edge {key} out of range for n={h.n}")
-    return WeightedHypergraph.make(h.n, list(h.edges) + [(key, w)], h.phase)
 
 
 def states_equal(

@@ -396,18 +396,6 @@ class BipartiteSplit:
                         f"edge inside {name} side", edge=(min(v, other), max(v, other))
                     )
 
-    def cross_rows(self, g: SimpleGraph) -> list[int]:
-        """k1 bitmask rows over right positions: the cross-adjacency block."""
-        pos = {v: j for j, v in enumerate(self.right)}
-        out = []
-        for u in self.left:
-            row = 0
-            for w in g.neighbors(u):
-                if w in pos:
-                    row |= 1 << pos[w]
-            out.append(row)
-        return out
-
 
 def complementation_edge_parity(g: SimpleGraph, split: BipartiteSplit, j: int) -> int:
     """Parity of left-side edges toggled by complementing right vertex j."""
@@ -484,28 +472,23 @@ def lemma_case_analysis(
         if (g1.rows[v] ^ g2.rows[v]) & other_side:
             raise PreconditionError("cross edges differ between the graphs")
 
-    cross = split.cross_rows(g1)
-    cross_rank = GF2Matrix(split.k1, split.k2, cross).rank()
+    # rows and columns indexed by vertex; the columns off the right side
+    # are all zero, so rank and solution read as on side positions
+    cross = {u: g1.rows[u] & right_mask for u in left}
+    cross_rank = GF2Matrix(split.k1, g1.n, list(cross.values())).rank()
     case1_excluded = cross_rank < max(split.k1, split.k2)
 
-    # added left-side edges, in left-side positions
-    lpos = {v: i for i, v in enumerate(left)}
-    added = [[0] * split.k1 for _ in range(split.k1)]
-    needed = 0
-    for u in left:
-        for w in g2.neighbors(u):
-            if w in lpos and u < w:
-                added[lpos[u]][lpos[w]] = added[lpos[w]][lpos[u]] = 1
-                needed += 1
+    added = {u: g2.rows[u] & left_mask for u in left}  # added left-side edges
+    needed = sum(m.bit_count() for m in added.values()) // 2
 
     # off-diagonal system: sum_m cross[u][m] cross[v][m] x_m = added[u][v]
     rows = []
     rhs = []
-    for u in range(split.k1):
-        for v in range(u + 1, split.k1):
+    for i, u in enumerate(left):
+        for v in left[i + 1:]:
             rows.append(cross[u] & cross[v])
-            rhs.append(added[u][v])
-    system = GF2Matrix(len(rows), split.k2, rows)
+            rhs.append((added[u] >> v) & 1)
+    system = GF2Matrix(len(rows), g1.n, rows)
     sol = solve_linear_gf2(system, rhs)
 
     toggles = {j: complementation_edge_parity(g1, split, j) for j in right}
@@ -523,7 +506,7 @@ def lemma_case_analysis(
             certificate=certificate,
         )
 
-    chosen = tuple(right[m] for m in range(split.k2) if (sol.particular >> m) & 1)
+    chosen = tuple(v for v in right if (sol.particular >> v) & 1)
     check = g1
     for j in chosen:
         check = local_complement(check, j)

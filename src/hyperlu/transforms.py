@@ -147,19 +147,27 @@ class _Fold:
     def incident(self, i: int) -> list[int]:
         return list(self.index.get(i, ()))
 
-    def link(self, i: int) -> list[int]:
-        """Masks of the edges at ``i`` with ``i`` removed; all need weight 1."""
+    def link(self, i: int, two_edges: bool = False) -> list[int]:
+        """Masks of the edges at ``i`` with ``i`` removed; all need weight 1.
+
+        With ``two_edges`` (the LC rule) every edge at ``i`` must also be
+        a two-edge. A failure names the smallest bad edge.
+        """
         self.check_vertex(i)
         incident = self.incident(i)
         one = 1 << self.exp
         bad = [
             (mask_to_edge(m), Weight(self.nums[m], self.exp))
             for m in incident
-            if self.nums[m] != one
+            if self.nums[m] != one or (two_edges and m.bit_count() != 2)
         ]
         if bad:
             e, w = min(bad)
-            raise PreconditionError(f"edge {e} at vertex {i} has weight {w}, need 1", edge=e)
+            if two_edges:
+                msg = f"LC needs weight-1 two-edges at vertex {i}, found {e} weight {w}"
+            else:
+                msg = f"edge {e} at vertex {i} has weight {w}, need 1"
+            raise PreconditionError(msg, edge=e)
         return [m ^ (1 << i) for m in incident]
 
     def z_power(self, i: int, alpha: Weight) -> None:
@@ -195,25 +203,11 @@ class _Fold:
         Requires every edge at ``v`` to be a weight-1 two-edge, which is
         exactly when the composite reproduces graph complementation.
         """
-        self.check_vertex(v)
-        incident = self.incident(v)
-        one = 1 << self.exp
-        bad = [
-            (mask_to_edge(m), Weight(self.nums[m], self.exp))
-            for m in incident
-            if m.bit_count() != 2 or self.nums[m] != one
-        ]
-        if bad:
-            e, w = min(bad)
-            raise PreconditionError(
-                f"LC needs weight-1 two-edges at vertex {v}, found {e} weight {w}",
-                edge=e,
-            )
-        bit = 1 << v
-        self.expand([m ^ bit for m in incident], LC_X_EXPONENT)
-        z = self.scaled(LC_NEIGHBOR_Z_EXPONENT)
-        for m in incident:
-            self.add(m ^ bit, z)
+        neighbors = self.link(v, two_edges=True)
+        self.expand(neighbors, LC_X_EXPONENT)
+        z = self.scaled(LC_NEIGHBOR_Z_EXPONENT)  # after expand, which may lift exp
+        for m in neighbors:  # the Z rule's addition on each one-vertex mask
+            self.add(m, z)
 
     def apply(self, gate: GateApplication) -> None:
         if gate.kind == "X":
@@ -239,11 +233,6 @@ def link(h: WeightedHypergraph, i: int) -> list[Edge]:
     """
     reduced = _Fold(h).link(i)
     return [mask_to_edge(m) for m in sorted(reduced, key=lambda m: mask_to_edge(m | 1 << i))]
-
-
-def apply_z_power(h: WeightedHypergraph, i: int, alpha: Weight) -> WeightedHypergraph:
-    """Z^alpha on qubit i adds weight alpha to the edge {i}."""
-    return apply_gate(h, z_power_gate(i, alpha))
 
 
 def apply_pauli_x(

@@ -189,6 +189,35 @@ def test_usage_error_exit_code():
     assert exc.value.code == 64
 
 
+def test_negative_budget_is_a_usage_error(tmp_path, capsys):
+    from hyperlu import counterexamples as cx
+
+    g, _ = cx.build(cx.TwentySeven())
+    imported = tmp_path / "imported.adj"
+    imported.write_text(serialize.graph_to_adjacency_text(g))
+    argv = ("verify", "--spec", "twentyseven", "--against", str(imported), "--budget")
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "-5")
+    assert exc.value.code == 64
+    assert "argument --budget: must be at least 0, got -5" in capsys.readouterr().err
+    # budget 0 stays legal: an exhausted search, reported as inconclusive
+    assert run(*argv, "0") == 2
+    search = json.loads(capsys.readouterr().out)["against"]["search"]
+    assert search == {"candidates": [], "examined": 0, "budget_exhausted": True}
+
+
+def test_orbit_cap_below_one_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "s.adj"
+    p.write_text(serialize.graph_to_adjacency_text(star_graph(6)))
+    for cap in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            run("orbit", str(p), "--cap", cap)
+        assert exc.value.code == 64
+        assert f"argument --cap: must be at least 1, got {cap}" in capsys.readouterr().err
+    assert run("orbit", str(p), "--cap", "1") == 2
+    assert capsys.readouterr().out == "orbit size: 1\ntruncated at cap 1\n"
+
+
 def test_verify_against_imported_matrix(tmp_path, capsys):
     """A user-supplied 27-vertex adjacency file gets a definite or
     explicitly inconclusive verdict from both the solver and the

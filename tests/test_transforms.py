@@ -24,7 +24,6 @@ from hyperlu.transforms import (
     apply_pauli_x,
     apply_sequence,
     apply_x_power,
-    apply_z_power,
     lc_gate,
     link,
     local_complement,
@@ -66,16 +65,16 @@ class TestLink:
 class TestZPower:
     def test_zero_power_is_identity(self, star4):
         h = from_graph(star4)
-        assert apply_z_power(h, 2, Weight(0)) == h
+        assert apply_gate(h, z_power_gate(2, Weight(0))) == h
 
     def test_cancels_quarter_weight(self):
         h = WeightedHypergraph.make(2, [((1,), Weight(1, 2))])
-        out = apply_z_power(h, 1, Weight(-1, 2))
+        out = apply_gate(h, z_power_gate(1, Weight(-1, 2)))
         assert out.edges == ()
 
     def test_creates_single_edge(self):
         h = WeightedHypergraph.make(2)
-        out = apply_z_power(h, 0, Weight(1))
+        out = apply_gate(h, z_power_gate(0, Weight(1)))
         assert out.weight((0,)) == Weight(1)
 
 
@@ -147,7 +146,8 @@ class TestXPower:
     def test_half_power_on_triangle_is_complementation_up_to_z(self, triangle):
         h = from_graph(triangle)
         out = apply_x_power(h, 0, Weight(1, 1))
-        fixed = apply_z_power(apply_z_power(out, 1, Weight(-1, 1)), 2, Weight(-1, 1))
+        fixed = apply_gate(out, z_power_gate(1, Weight(-1, 1)))
+        fixed = apply_gate(fixed, z_power_gate(2, Weight(-1, 1)))
         assert states_equal(
             fixed, from_graph(local_complement(triangle, 0)), ignore_global_phase=True
         )
@@ -351,7 +351,7 @@ class TestFold:
         with pytest.raises(PreconditionError):
             apply_gate(h, lc_gate(2))
         with pytest.raises(VertexRangeError):
-            apply_z_power(h, 3, Weight(1))
+            apply_gate(h, z_power_gate(3, Weight(1)))
         with pytest.raises(VertexRangeError):
             apply_pauli_x(h, -1, extended=True)
         with pytest.raises(VertexRangeError):
