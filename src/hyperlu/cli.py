@@ -34,8 +34,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low`` (else exit 64)."""
+def _int_at_least(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than ``low`` and, when
+    ``high`` is given, no larger than it (else exit 64)."""
 
     def parse(text: str) -> int:
         try:
@@ -44,6 +45,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -236,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--spec", required=True, help="bipartite:N:R or twentyseven")
     ver.add_argument("--report", help="write the JSON report here")
     ver.add_argument("--against", help="adjacency file to compare against")
-    ver.add_argument("--budget", type=_int_at_least(0), default=1000, help="search budget")
+    ver.add_argument(
+        "--budget", type=_int_at_least(0, sys.maxsize), default=1000, help="search budget"
+    )
     ver.set_defaults(func=_cmd_verify)
 
     chk = sub.add_parser("check-lc", help="decide LC equivalence of two graphs")

@@ -32,7 +32,6 @@ from .hypergraph import (
     WeightedHypergraph,
     check_vertex_count,
     from_graph,
-    states_equal,
     to_graph,
 )
 from .lc_solver import (
@@ -49,7 +48,7 @@ from .transforms import (
     x_power_gate,
     z_power_gate,
 )
-from .weights import QUARTER, Weight
+from .weights import ONE, QUARTER, ZERO, Weight
 
 DEFAULT_RIGHT_CAP = 100_000
 
@@ -261,22 +260,24 @@ def derive_lu_partner(g: SimpleGraph, split: BipartiteSplit) -> LuDerivation:
     state = apply_sequence(from_graph(g), sweep)
 
     raw = _raw_sweep_deltas(g, split, alpha.as_fraction())
+    # the whole sweep state against the raw ledger: g's edges at weight 1
+    # plus every delta mod 2, nothing else, and phase 0
+    expected: dict[Edge, Weight] = dict.fromkeys(g.edge_list(), ONE)
     for e, frac in raw.items():
-        engine_w = state.weight(e)
-        expected = Weight.from_fraction(frac % 2)
-        if len(e) == 2 and g.has_edge(*e):
-            expected = expected + Weight(1)
-        if engine_w != expected:
-            raise AssertionError(
-                f"engine weight {engine_w} at {e} disagrees with raw ledger {frac}"
-            )
+        if w := expected.pop(e, ZERO) + Weight.from_fraction(frac % 2):
+            expected[e] = w
+    engine = state.edge_dict() | ({(): state.phase} if state.phase else {})
+    if engine != expected:
+        e = min(e for e in engine.keys() | expected.keys() if engine.get(e) != expected.get(e))
+        raise AssertionError(
+            f"engine sweep state disagrees with the raw ledger at {e}: "
+            f"engine weight {engine.get(e, ZERO)}, ledger weight {expected.get(e, ZERO)}"
+        )
 
-    corrections = [
-        (e[0], -w) for e, w in state.edges if len(e) == 1
-    ]
+    corrections = [(e[0], -w) for e, w in state.edges if len(e) == 1]
     fixes: GateSequence = tuple(z_power_gate(q, w) for q, w in corrections)
     # each fix Z^(-w) on {q} cancels exactly the weight w of the edge {q}
-    # and touches no other edge; the witness replay applies them for real
+    # and touches no other edge, so the fixes need no second fold
     final = WeightedHypergraph(
         state.n, tuple((e, w) for e, w in state.edges if len(e) != 1), state.phase
     )
@@ -288,7 +289,7 @@ def derive_lu_partner(g: SimpleGraph, split: BipartiteSplit) -> LuDerivation:
         LedgerRow(card, frac, Weight.from_fraction(frac % 2), count)
         for (card, frac), count in sorted(grouped.items())
     ]
-    residues = [(e, w) for e, w in final.edges if len(e) != 2 or w != Weight(1)]
+    residues = [(e, w) for e, w in final.edges if len(e) != 2 or w != ONE]
     ledger = WeightLedger(alpha, rows, corrections, residues)
 
     if residues:
@@ -357,16 +358,12 @@ def _verify_derived_pair(
     spec_name: str,
     start: float,
 ) -> VerificationReport:
-    """Replay the witness, then decide LC equivalence of g1 and its partner.
+    """Decide LC equivalence of g1 and its derived partner.
 
-    The replay folds the witness afresh from g1, independently of the
-    derivation's own fold.
+    The derivation's sweep state was already checked, edge by edge,
+    against the raw weight ledger.
     """
     g2 = derivation.target
-    replay = apply_sequence(from_graph(g1), derivation.witness)
-    if not states_equal(replay, from_graph(g2), ignore_global_phase=True):
-        raise AssertionError("witness replay does not reproduce the target state")
-
     lc_witness: CliffordWitness | None = None
     solver_outcome: str
     try:

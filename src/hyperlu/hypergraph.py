@@ -186,6 +186,10 @@ class SimpleGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
+        """Checks each edge once; the rows it builds are then symmetric,
+        zero-diagonal and in range by construction."""
+        if n < 0:  # as the constructor reports it
+            raise ValueError("adjacency row count differs from n")
         rows = [0] * n
         for i, j in edges:
             if i == j:
@@ -194,7 +198,7 @@ class SimpleGraph:
                 raise VertexRangeError(f"edge ({i},{j}) out of range for n={n}")
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-        return cls(n, tuple(rows))
+        return cls._trusted(n, tuple(rows))
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)

@@ -491,7 +491,8 @@ def lemma_case_analysis(
     system = GF2Matrix(len(rows), g1.n, rows)
     sol = solve_linear_gf2(system, rhs)
 
-    toggles = {j: complementation_edge_parity(g1, split, j) for j in right}
+    # complementation_edge_parity for each j, without its side check
+    toggles = {j: math.comb(g1.degree(j), 2) % 2 for j in right}
 
     if sol is None:
         certificate = (

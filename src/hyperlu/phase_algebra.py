@@ -24,6 +24,12 @@ if TYPE_CHECKING:  # numpy is imported where the oracle check runs, not at start
 
 _MAX_ORACLE_QUBITS = 12
 
+# Most subsets one expansion enumerates: 2**24 - 1, all subsets of 24
+# edges. Since sum_{s<=m} C(k, s) >= 2**m - 1, the cap also bounds the
+# enumeration's recursion depth at 24 frames.
+MAX_EXPANSION_DEPTH = 24
+MAX_EXPANSION_SUBSETS = (1 << MAX_EXPANSION_DEPTH) - 1
+
 
 def expand_masks(masks: Sequence[int], alpha: Weight, prune: bool = True) -> dict[int, int]:
     """Mask-level delta of raising a product of edge gates to ``alpha``.
@@ -38,8 +44,16 @@ def expand_masks(masks: Sequence[int], alpha: Weight, prune: bool = True) -> dic
         return {}
     k = len(masks)
     max_size = min(k, alpha.exp + 1) if prune else k
-    if not prune and k > 24:
-        raise SizeLimitError(f"unpruned enumeration over {k} edges")
+    if k > MAX_EXPANSION_DEPTH:  # 2**k - 1 subsets exceed the cap: count them first
+        count, term = 0, 1
+        for s in range(1, max_size + 1):  # C(k, s) term by term, stopping past the cap
+            term = term * (k - s + 1) // s
+            count += term
+            if count > MAX_EXPANSION_SUBSETS:
+                raise SizeLimitError(
+                    f"expansion over {k} edges up to size {max_size} enumerates "
+                    f"more than {MAX_EXPANSION_SUBSETS} subsets"
+                )
 
     # all contributions share the denominator 2**alpha.exp, so the DFS
     # accumulates raw integer numerators

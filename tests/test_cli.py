@@ -200,6 +200,12 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys):
         run(*argv, "-5")
     assert exc.value.code == 64
     assert "argument --budget: must be at least 0, got -5" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, str(sys.maxsize + 1))
+    assert exc.value.code == 64
+    assert f"argument --budget: must be at most {sys.maxsize}, got {sys.maxsize + 1}" in (
+        capsys.readouterr().err
+    )
     # budget 0 stays legal: an exhausted search, reported as inconclusive
     assert run(*argv, "0") == 2
     search = json.loads(capsys.readouterr().out)["against"]["search"]
@@ -255,13 +261,38 @@ def test_verify_against_builds_the_construction_once(tmp_path, monkeypatch, caps
     assert [] in payload["against"]["search"]["candidates"] and code == 2
 
 
-def test_failed_internal_check_exits_70(monkeypatch, capsys):
-    """A failed witness replay is a crash, not a negative verdict."""
-    from hyperlu import counterexamples as cx
+def _drop_edge(edges):
+    return [(e, w) for e, w in edges if e != (0, 6)]
 
-    monkeypatch.setattr(cx, "states_equal", lambda *args, **kwargs: False)
-    assert run("verify", "--spec", "bipartite:7:5") == 70
-    assert "witness replay" in capsys.readouterr().err
+
+def _add_right_edge(edges):
+    return [*edges, ((6, 7), Weight(1))]
+
+
+def _wrong_weight(edges):
+    return [(e, Weight(1, 1) if e == (0, 6) else w) for e, w in edges]
+
+
+@pytest.mark.parametrize(
+    "fault, where",
+    [(_drop_edge, "(0, 6)"), (_add_right_edge, "(6, 7)"), (_wrong_weight, "(0, 6)")],
+)
+def test_faulty_sweep_fold_exits_70(monkeypatch, capsys, fault, where):
+    """A fold that drops, adds or misweighs an edge is caught by the raw
+    weight ledger and is a crash, not a data error or a verdict."""
+    from hyperlu import transforms
+    from hyperlu.hypergraph import WeightedHypergraph
+
+    state = transforms._Fold.state
+
+    def faulty(self):
+        h = state(self)
+        return WeightedHypergraph(h.n, tuple(sorted(fault(h.edges))), h.phase)
+
+    monkeypatch.setattr(transforms._Fold, "state", faulty)
+    assert run("verify", "--spec", "twentyseven") == 70
+    err = capsys.readouterr().err
+    assert f"engine sweep state disagrees with the raw ledger at {where}" in err
 
 
 def test_deep_nullspace_search_is_a_verdict(tmp_path, capsys):
@@ -338,6 +369,27 @@ def test_over_cap_binomial_is_refused_without_computing_it(capsys):
     assert run("verify", "--spec", "bipartite:262144:131072") == 3
     assert time.perf_counter() - start < 0.2
     assert "C(262144,131072) exceeds cap 100000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n, alpha",
+    [(1101, "1/2^1024"), (41, "1/4096")],
+    ids=["deep-recursion", "billions-of-subsets"],
+)
+def test_over_cap_x_power_expansion_is_a_data_error(tmp_path, capsys, n, alpha):
+    """X^alpha at the centre of a star expands subsets of its n - 1 leaf
+    edges up to size exp + 1; past 2^24 - 1 subsets it is refused before
+    any enumeration (the first once crashed on the recursion limit, the
+    second needs about 2.1e10 subsets)."""
+    import time
+
+    state, seq = tmp_path / "star.json", tmp_path / "seq.json"
+    state.write_text(serialize.dump_hypergraph(from_graph(star_graph(n))))
+    seq.write_text(json.dumps([{"q": 0, "g": "Xp", "a": alpha}]))
+    start = time.perf_counter()
+    assert run("transform", str(state), str(seq)) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "more than 16777215 subsets" in capsys.readouterr().err
 
 
 def test_state_at_the_vertex_cap_transforms(tmp_path, capsys):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hyperlu import counterexamples as cx
-from hyperlu import oracle
+from hyperlu import oracle, transforms
 from hyperlu.errors import CancellationError, PreconditionError
 from hyperlu.hypergraph import from_graph, is_graph_state, states_equal
 from hyperlu.lc_solver import BipartiteSplit
@@ -57,6 +57,14 @@ class TestBuild:
             cx.parse_spec("nonsense")
 
 
+# the benchmark's verify ladder without bipartite:9:5, whose sweep does
+# not cancel
+CANCELLING_LADDER = (
+    "bipartite:7:5", "twentyseven", "bipartite:7:4", "bipartite:8:5", "bipartite:11:9",
+    "bipartite:11:8", "bipartite:11:4", "bipartite:11:7", "bipartite:11:6",
+)
+
+
 class TestDeriveLuPartner:
     def test_28_target_is_cross_plus_complete_left(self):
         g, split = cx.build(cx.BipartiteSubsets(7, 5))
@@ -74,8 +82,9 @@ class TestDeriveLuPartner:
         assert all(d.target.has_edge(i, j) for i in range(6) for j in range(i + 1, 6))
         assert d.target.edge_count() == g.edge_count() + 15
 
-    def test_witness_replays_to_target(self):
-        g, split = cx.build(cx.BipartiteSubsets(7, 5))
+    @pytest.mark.parametrize("spec", CANCELLING_LADDER)
+    def test_witness_replays_to_target(self, spec):
+        g, split = cx.build(cx.parse_spec(spec))
         d = cx.derive_lu_partner(g, split)
         replay = apply_sequence(from_graph(g), d.witness)
         assert is_graph_state(replay)
@@ -186,6 +195,18 @@ class TestVerify:
         monkeypatch.setattr(cx, "derive_lu_partner", counting)
         report = cx.verify_construction(cx.TwentySeven())
         assert report.confirmed and calls == [27]
+
+    def test_verify_folds_the_sweep_once(self, monkeypatch):
+        folds = []
+        init = transforms._Fold.__init__
+
+        def counting(self, h):
+            folds.append(h.n)
+            init(self, h)
+
+        monkeypatch.setattr(transforms._Fold, "__init__", counting)
+        report = cx.verify_construction(cx.TwentySeven())
+        assert report.confirmed and folds == [27]
 
     def test_counterexample_report_matches_construction(self):
         g, split = cx.build(cx.TwentySeven())

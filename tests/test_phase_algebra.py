@@ -63,6 +63,14 @@ class TestFormula:
         with pytest.raises(ValueError):
             power_of_product([(0, 1), (1, 0)], Weight(1, 1))
 
+    def test_subset_cap_bounds_both_paths(self):
+        # 25 edges: all 2^25 - 1 subsets exceed the cap, the 2,625 of size
+        # at most 3 (exponent 1/4) do not
+        edges = [(v,) for v in range(25)]
+        with pytest.raises(SizeLimitError, match="more than 16777215 subsets"):
+            power_of_product(edges, Weight(1, 2), prune=False)
+        assert len(power_of_product(edges, Weight(1, 2))) == 2625
+
     def test_empty_edge_contributes_phase(self):
         delta = power_of_product([()], Weight(1, 2))
         assert delta == {(): Weight(1, 2)}
