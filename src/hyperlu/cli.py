@@ -9,6 +9,7 @@ deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -207,6 +208,8 @@ def _cmd_export(args) -> int:
     return EXIT_OK
 
 
+# twelve parsers take about 1.4 ms to build: build them once, on first use
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hyperlu", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -214,14 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate construction files")
     gen_kind = gen.add_subparsers(dest="kind", required=True)
     p = gen_kind.add_parser("bipartite")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--r", type=int, required=True)
     p = gen_kind.add_parser("twentyseven")
     p = gen_kind.add_parser("g2h7")
     p.add_argument("--witness", help="also write the gate sequence")
     p.add_argument("--expected", help="also write the expected hypergraph")
     p = gen_kind.add_parser("star")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     for sp in gen_kind.choices.values():
         sp.add_argument("--out", help="state JSON output (default stdout)")
         sp.add_argument("--adj", help="also write adjacency text")

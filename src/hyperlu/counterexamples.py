@@ -443,18 +443,6 @@ class SequenceOutcome:
     ok: bool
     violating_edge: tuple[int, int] | None
 
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "split": (
-                {"left": list(self.split.left), "right": list(self.split.right)}
-                if self.split
-                else None
-            ),
-            "violating_edge": list(self.violating_edge) if self.violating_edge else None,
-            "degrees": sorted(self.graph.degrees()),
-        }
-
 
 def bipartite_preserving_sequence(
     g: SimpleGraph, split: BipartiteSplit, subset: Iterable[int]

@@ -18,7 +18,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 from .errors import (
     DimensionMismatchError,
@@ -28,9 +28,6 @@ from .errors import (
 from .gf2 import GF2Matrix, echelonize, pivot_table, solve_linear_gf2
 from .hypergraph import SimpleGraph
 from .transforms import local_complement, local_complement_rows
-
-if TYPE_CHECKING:  # numpy is imported by the witness re-check, not at start-up
-    import numpy as np
 
 # 4-bit local patterns (a | b<<1 | c<<2 | d<<3) with a*d + b*c = 1;
 # exactly the six invertible 2x2 binary matrices.
@@ -220,37 +217,31 @@ def lc_equivalent(
     return witness
 
 
-def _bit_matrix(g: SimpleGraph) -> np.ndarray:
-    """Adjacency as an n x n 0/1 array, unpacked from the row bitmasks."""
-    import numpy as np
-
-    width = (g.n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.rows), np.uint8)
-    bits = np.unpackbits(packed.reshape(g.n, width), axis=1, count=g.n, bitorder="little")
-    return bits.astype(np.int64)
-
-
 def verify_witness(g1: SimpleGraph, g2: SimpleGraph, w: CliffordWitness) -> bool:
-    """Independent re-check of both witness equations, via numpy mod 2.
+    """Independent re-check of both witness equations on adjacency rows.
 
-    t1 C t2 + t1 A + D t2 + B is evaluated densely. The diagonal
-    matrices act by broadcast scaling of columns (A) and rows (D), and
-    C by keeping the columns of t1 and rows of t2 where c_i = 1.
+    Row j of t1 C t2 + t1 A + D t2 + B is the XOR of t2[i] over the
+    neighbours i of j in g1 with c_i odd, then t1[j] masked by the odd
+    a_i, then t2[j] when d_j is odd, then b_j at bit j. Unlike
+    ``_lc_system``'s spanning rows, every row of the equation is
+    evaluated, with the witness entries read mod 2.
     """
-    import numpy as np
-
     n = g1.n
     if not (g2.n == n == len(w.a)):
         raise DimensionMismatchError("sizes of graphs and witness differ")
-    t1, t2 = _bit_matrix(g1), _bit_matrix(g2)
-    a, b, c, d = (np.array(v, dtype=np.int64) for v in (w.a, w.b, w.c, w.d))
-    keep = c % 2 == 1
-    residual = t1[:, keep] @ t2[keep] + t1 * a[None, :] + d[:, None] * t2
-    residual[np.diag_indices(n)] += b
-    if (residual % 2).any():
+    a, b, c, d = ([x & 1 for x in v] for v in (w.a, w.b, w.c, w.d))
+    if any((a[i] & d[i]) ^ (b[i] & c[i]) != 1 for i in range(n)):
         return False
-    nondeg = (a * d + b * c) % 2
-    return bool(np.all(nondeg == 1))
+    a_mask = sum(bit << i for i, bit in enumerate(a))
+    c_mask = sum(bit << i for i, bit in enumerate(c))
+    t1, t2 = g1.rows, g2.rows
+    for j in range(n):
+        row = (t1[j] & a_mask) ^ (t2[j] if d[j] else 0) ^ (b[j] << j)
+        for i in _bits(t1[j] & c_mask):
+            row ^= t2[i]
+        if row:
+            return False
+    return True
 
 
 class Orbit:

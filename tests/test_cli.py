@@ -224,6 +224,15 @@ def test_orbit_cap_below_one_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().out == "orbit size: 1\ntruncated at cap 1\n"
 
 
+@pytest.mark.parametrize("kind", [("star",), ("bipartite", "--r", "1")])
+def test_negative_gen_vertex_count_is_a_usage_error(capsys, kind):
+    with pytest.raises(SystemExit) as exc:
+        run("gen", kind[0], "--n", "-1", *kind[1:])
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --n: must be at least 0, got -1" in err
+
+
 def test_verify_against_imported_matrix(tmp_path, capsys):
     """A user-supplied 27-vertex adjacency file gets a definite or
     explicitly inconclusive verdict from both the solver and the
@@ -474,29 +483,89 @@ def test_export_refuses_a_boolean_vertex(tmp_path, capsys):
 
 
 _START_UP_PROBE = """
-import contextlib, io, sys
+import contextlib, io, json, sys
+from pathlib import Path
 import hyperlu.cli
 assert "numpy" not in sys.modules, "import hyperlu.cli loaded numpy"
+from hyperlu import serialize
+from hyperlu.hypergraph import star_graph
+from hyperlu.transforms import local_complement
 with contextlib.redirect_stdout(io.StringIO()):
     assert hyperlu.cli.main(["verify", "--spec", "twentyseven"]) == 0
 assert "numpy" not in sys.modules, "verify twentyseven loaded numpy"
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()) as out:
     hyperlu.cli.main(["verify", "--spec", "bipartite:11:6"])
-assert "numpy" in sys.modules, "the witness re-check ran without numpy"
+assert json.loads(out.getvalue())["lc"]["witness"], "bipartite:11:6 found no LC witness"
+assert "numpy" not in sys.modules, "the witness re-check of bipartite:11:6 loaded numpy"
+a, b = Path(sys.argv[1], "a.adj"), Path(sys.argv[1], "b.adj")
+a.write_text(serialize.graph_to_adjacency_text(star_graph(4)))
+b.write_text(serialize.graph_to_adjacency_text(local_complement(star_graph(4), 0)))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert hyperlu.cli.main(["check-lc", str(a), str(b)]) == 0
+assert sorted(json.loads(out.getvalue())) == ["a", "b", "c", "d"]
+assert "numpy" not in sys.modules, "check-lc with a witness loaded numpy"
 """
 
 
-def test_numpy_loads_only_where_a_numpy_path_runs():
-    """In a fresh interpreter: importing the CLI and verifying
-    ``twentyseven`` (no LC witness to re-check) leave numpy unloaded;
-    ``bipartite:11:6`` has a witness, and its re-check loads numpy."""
+def _fresh_env() -> dict:
+    """The environment of a child interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_numpy_loads_only_where_a_numpy_path_runs(tmp_path):
+    """In a fresh interpreter, importing the CLI, verifying
+    ``twentyseven`` and ``bipartite:11:6`` (whose LC witness is
+    re-checked) and a ``check-lc`` that prints a witness all leave numpy
+    unloaded: only the oracle and ``involution_power_check`` load it."""
     proc = subprocess.run(
-        [sys.executable, "-c", _START_UP_PROBE],
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", _START_UP_PROBE, str(tmp_path)],
+        env=_fresh_env(),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_successive_main_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process; successive ``main`` calls
+    with different subcommands, help and usage errors print and exit as
+    they do in a fresh interpreter each."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    g = star_graph(4)
+    a, b = tmp_path / "a.adj", tmp_path / "b.adj"
+    a.write_text(serialize.graph_to_adjacency_text(g))
+    b.write_text(serialize.graph_to_adjacency_text(local_complement(g, 0)))
+    runs = [
+        ("--help",),
+        ("gen", "star", "--n", "3"),
+        ("check-lc", str(a), str(b)),
+        ("gen", "bipartite", "--n", "-1", "--r", "1"),
+        ("orbit", str(a), "--cap", "2"),
+        ("verify",),
+        ("orbit", "--help"),
+        ("check-lc", str(a), str(tmp_path / "missing.adj")),
+        ("gen", "star", "--help"),
+        ("check-lc", str(a), str(b)),
+    ]
+    in_process = []
+    for argv in runs:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, *capsys.readouterr()))
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "hyperlu", *argv],
+            env=_fresh_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        for argv in runs
+    ]
+    assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 64, 2, 64, 0, 3, 0, 0]

@@ -210,6 +210,23 @@ class TestSharedElimination:
             assert GF2Matrix(len(vectors), width, vectors).rank() == len(old_echelonize(vectors))
 
 
+def corrupted_witnesses(rng: random.Random, witness: CliffordWitness, count: int):
+    """Nondegenerate copies of ``witness`` with one vertex block changed:
+    one entry flipped, and its partner in a*d + b*c flipped at random."""
+    n = len(witness.a)
+    for _ in range(count):
+        bad = {k: list(v) for k, v in witness.as_dict().items()}
+        v = rng.randrange(n)
+        key = rng.choice("abcd")
+        bad[key][v] ^= 1
+        partner = "dcba"["abcd".index(key)]
+        bad[partner][v] ^= rng.getrandbits(1)
+        try:
+            yield CliffordWitness(*(tuple(bad[k]) for k in "abcd"))
+        except ValueError:
+            continue
+
+
 class TestVectorisedWitnessCheck:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_the_diag_formulation(self, seed):
@@ -219,19 +236,25 @@ class TestVectorisedWitnessCheck:
             if witness is None:
                 continue
             assert verify_witness(g1, g2, witness) is diag_verify_witness(g1, g2, witness) is True
-            n = g1.n
-            for _ in range(6):
-                bad = {k: list(v) for k, v in witness.as_dict().items()}
-                v = rng.randrange(n)
-                key = rng.choice("abcd")
-                bad[key][v] ^= 1
-                partner = "dcba"["abcd".index(key)]
-                bad[partner][v] ^= rng.getrandbits(1)
-                try:
-                    w = CliffordWitness(*(tuple(bad[k]) for k in "abcd"))
-                except ValueError:
-                    continue
+            for w in corrupted_witnesses(rng, witness, 6):
                 assert verify_witness(g1, g2, w) is diag_verify_witness(g1, g2, w)
+
+    def test_matches_the_diag_formulation_at_341_vertices(self):
+        """bipartite:11:7 against itself plus a left clique, the largest
+        LC-equivalent construction pair the benchmark decides."""
+        g1, split = cx.build(cx.BipartiteSubsets(11, 7))
+        g2 = SimpleGraph.from_edges(
+            g1.n, g1.edge_list() + [(u, v) for u in split.left for v in split.left if u < v]
+        )
+        assert g1.n == 341
+        witness = lc_equivalent(g1, g2)
+        assert witness is not None
+        assert verify_witness(g1, g2, witness) is diag_verify_witness(g1, g2, witness) is True
+        verdicts = []
+        for w in corrupted_witnesses(random.Random(7), witness, 8):
+            verdicts.append(verify_witness(g1, g2, w))
+            assert verdicts[-1] is diag_verify_witness(g1, g2, w)
+        assert verdicts and not any(verdicts)
 
     def test_unrelated_graphs_reject_the_identity(self):
         rng = random.Random(3)
@@ -239,3 +262,14 @@ class TestVectorisedWitnessCheck:
         ones, zeros = (1,) * 9, (0,) * 9
         w = CliffordWitness(ones, zeros, zeros, ones)
         assert verify_witness(g1, g2, w) is diag_verify_witness(g1, g2, w) is False
+
+    def test_degenerate_blocks_fail_although_the_equation_holds(self):
+        """All-zero diagonals solve the linear equation for any pair; only
+        the nondegeneracy check rejects them. ``CliffordWitness`` refuses
+        to hold such blocks, so a plain namespace carries them here."""
+        from types import SimpleNamespace
+
+        g = random_graph(random.Random(4), 9, 0.5)
+        zeros = (0,) * 9
+        w = SimpleNamespace(a=zeros, b=zeros, c=zeros, d=zeros)
+        assert verify_witness(g, g, w) is diag_verify_witness(g, g, w) is False
