@@ -12,6 +12,7 @@ refuted exactly over GF(2), with an edge-parity certificate.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -41,9 +42,10 @@ from .lc_solver import (
     lc_equivalent,
     lemma_case_analysis,
 )
+from .phase_algebra import MAX_EXPANSION_DEPTH, MAX_EXPANSION_SUBSETS
 from .transforms import (
     GateSequence,
-    apply_sequence,
+    _Fold,
     local_complement_rows,
     x_power_gate,
     z_power_gate,
@@ -236,8 +238,19 @@ def _raw_sweep_deltas(
 
     Each right vertex contributes (-2)**(|S|-1) * alpha on every nonempty
     subset S of its neighbors; the subsets are counted first and each
-    distinct one scaled once, in order of first appearance.
+    distinct one scaled once, in order of first appearance. Raises
+    :class:`SizeLimitError` before enumerating when the right vertices'
+    neighborhoods hold more than ``MAX_EXPANSION_SUBSETS`` nonempty
+    subsets in all.
     """
+    total = 0
+    for v in split.right:  # a degree past the depth alone exceeds the cap
+        total += (1 << min(g.degree(v), MAX_EXPANSION_DEPTH + 1)) - 1
+        if total > MAX_EXPANSION_SUBSETS:
+            raise SizeLimitError(
+                f"sweep ledger over {len(split.right)} right vertices enumerates "
+                f"more than {MAX_EXPANSION_SUBSETS} subsets"
+            )
     counts: dict[Edge, int] = defaultdict(int)
     for v in split.right:
         nbrs = g.neighbors(v)
@@ -247,9 +260,70 @@ def _raw_sweep_deltas(
     return {s: Fraction((-2) ** (len(s) - 1)) * alpha * c for s, c in counts.items()}
 
 
-def derive_lu_partner(g: SimpleGraph, split: BipartiteSplit) -> LuDerivation:
+@dataclass
+class SweepLedger:
+    """What the X^(1/4) sweep must add, found without folding a gate.
+
+    ``rows`` group the raw weights by cardinality; ``deltas`` hold every
+    edge whose raw weight is nonzero mod 2, at that reduced weight.
+    """
+
+    rows: list[LedgerRow]
+    deltas: dict[Edge, Weight]
+
+
+def _enumerated_ledger(
+    g: SimpleGraph, split: BipartiteSplit, alpha: Fraction
+) -> SweepLedger:
+    """The sweep ledger of any split graph, by enumerating every subset."""
+    raw = _raw_sweep_deltas(g, split, alpha)
+    grouped: dict[tuple[int, Fraction], int] = defaultdict(int)
+    for e, frac in raw.items():
+        grouped[(len(e), frac)] += 1
+    rows = [
+        LedgerRow(card, frac, Weight.from_fraction(frac % 2), count)
+        for (card, frac), count in sorted(grouped.items())
+    ]
+    deltas = {e: w for e, frac in raw.items() if (w := Weight.from_fraction(frac % 2))}
+    return SweepLedger(rows, deltas)
+
+
+def _closed_form_ledger(spec: ConstructionSpec | None, alpha: Fraction) -> SweepLedger | None:
+    """The sweep ledger of ``build(spec)`` from the construction's definition.
+
+    The left vertices are 0..n-1 and each right vertex is joined to one
+    left subset of a listed size, each subset of that size once. So the
+    right vertices covering a left s-subset number the sum over sizes r
+    of C(n - s, r - s), the same for every s-subset, and each of the
+    C(n, s) of them carries (-2)**(s-1) * alpha times that count. None
+    for a spec without this form, or no spec.
+    """
+    if isinstance(spec, BipartiteSubsets):
+        n, sizes = spec.n, (spec.r,)
+    elif isinstance(spec, TwentySeven):
+        n, sizes = 6, (5, 4)
+    else:
+        return None
+    rows: list[LedgerRow] = []
+    deltas: dict[Edge, Weight] = {}
+    for s in range(1, max(sizes) + 1):
+        cover = sum(math.comb(n - s, r - s) for r in sizes if r >= s)
+        raw = Fraction((-2) ** (s - 1)) * alpha * cover
+        reduced = Weight.from_fraction(raw % 2)
+        rows.append(LedgerRow(s, raw, reduced, math.comb(n, s)))
+        if reduced:  # zero once 2**(s-1) * alpha is even: from s = 4 for alpha = 1/4
+            deltas.update(dict.fromkeys(combinations(range(n), s), reduced))
+    return SweepLedger(rows, deltas)
+
+
+def derive_lu_partner(
+    g: SimpleGraph, split: BipartiteSplit, spec: ConstructionSpec | None = None
+) -> LuDerivation:
     """Run the X^(1/4) sweep plus Z corrections and extract the target graph.
 
+    ``spec``, when given, is the construction ``g`` and ``split`` were
+    built from; the sweep is then checked against its closed-form ledger
+    where it has one, and against the enumerated ledger otherwise.
     Raises :class:`CancellationError` (carrying the full ledger) when
     fractional or higher-cardinality edges survive, i.e. when the
     construction parameters do not cancel.
@@ -257,14 +331,19 @@ def derive_lu_partner(g: SimpleGraph, split: BipartiteSplit) -> LuDerivation:
     split.validate(g)
     alpha = QUARTER
     sweep: GateSequence = tuple(x_power_gate(v, alpha) for v in split.right)
-    state = apply_sequence(from_graph(g), sweep)
+    fold = _Fold(from_graph(g))
+    # split.validate leaves no edge holding two right vertices: the batch's condition
+    fold.x_power_batch(split.right, alpha)
+    state = fold.state()
 
-    raw = _raw_sweep_deltas(g, split, alpha.as_fraction())
-    # the whole sweep state against the raw ledger: g's edges at weight 1
+    sweep_ledger = _closed_form_ledger(spec, alpha.as_fraction())
+    if sweep_ledger is None:
+        sweep_ledger = _enumerated_ledger(g, split, alpha.as_fraction())
+    # the whole sweep state against the ledger: g's edges at weight 1
     # plus every delta mod 2, nothing else, and phase 0
     expected: dict[Edge, Weight] = dict.fromkeys(g.edge_list(), ONE)
-    for e, frac in raw.items():
-        if w := expected.pop(e, ZERO) + Weight.from_fraction(frac % 2):
+    for e, delta in sweep_ledger.deltas.items():
+        if w := expected.pop(e, ZERO) + delta:
             expected[e] = w
     engine = state.edge_dict() | ({(): state.phase} if state.phase else {})
     if engine != expected:
@@ -282,15 +361,8 @@ def derive_lu_partner(g: SimpleGraph, split: BipartiteSplit) -> LuDerivation:
         state.n, tuple((e, w) for e, w in state.edges if len(e) != 1), state.phase
     )
 
-    grouped: dict[tuple[int, Fraction], int] = defaultdict(int)
-    for e, frac in raw.items():
-        grouped[(len(e), frac)] += 1
-    rows = [
-        LedgerRow(card, frac, Weight.from_fraction(frac % 2), count)
-        for (card, frac), count in sorted(grouped.items())
-    ]
     residues = [(e, w) for e, w in final.edges if len(e) != 2 or w != ONE]
-    ledger = WeightLedger(alpha, rows, corrections, residues)
+    ledger = WeightLedger(alpha, sweep_ledger.rows, corrections, residues)
 
     if residues:
         raise CancellationError(
@@ -361,7 +433,7 @@ def _verify_derived_pair(
     """Decide LC equivalence of g1 and its derived partner.
 
     The derivation's sweep state was already checked, edge by edge,
-    against the raw weight ledger.
+    against the sweep's weight ledger.
     """
     g2 = derivation.target
     lc_witness: CliffordWitness | None = None
@@ -418,7 +490,7 @@ def verify_construction(
     start = time.perf_counter()
     g1, split = built if built is not None else build(spec)
     try:
-        derivation = derive_lu_partner(g1, split)
+        derivation = derive_lu_partner(g1, split, spec)
     except CancellationError as exc:
         return VerificationReport(
             spec_name=spec.name,

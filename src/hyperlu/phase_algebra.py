@@ -38,10 +38,24 @@ def expand_masks(masks: Sequence[int], alpha: Weight, prune: bool = True) -> dic
     edge); the result maps each union mask to its weight numerator over
     2**alpha.exp, reduced modulo 2 and nonzero, in first-union order.
     """
+    acc: dict[int, int] = {}
+    add_expansion(acc, masks, alpha, prune)
+    wrap = (2 << alpha.exp) - 1  # num & wrap == 0 iff weight is 0 mod 2
+    return {mask: red for mask, num in acc.items() if (red := num & wrap)}
+
+
+def add_expansion(
+    acc: dict[int, int], masks: Sequence[int], alpha: Weight, prune: bool = True
+) -> None:
+    """Add the unreduced numerators of :func:`expand_masks` into ``acc``.
+
+    All contributions share the denominator 2**alpha.exp. Both checks
+    (distinct masks, the subset cap) run before ``acc`` is touched.
+    """
     if len(set(masks)) != len(masks):
         raise ValueError("edges of a gate product must be pairwise distinct")
     if alpha.is_zero or not masks:
-        return {}
+        return
     k = len(masks)
     max_size = min(k, alpha.exp + 1) if prune else k
     if k > MAX_EXPANSION_DEPTH:  # 2**k - 1 subsets exceed the cap: count them first
@@ -55,10 +69,7 @@ def expand_masks(masks: Sequence[int], alpha: Weight, prune: bool = True) -> dic
                     f"more than {MAX_EXPANSION_SUBSETS} subsets"
                 )
 
-    # all contributions share the denominator 2**alpha.exp, so the DFS
-    # accumulates raw integer numerators
     contribs = [alpha.num * (-2) ** d for d in range(max_size)]
-    acc: dict[int, int] = {}
 
     def extend(start: int, union: int, depth: int) -> None:
         contrib = contribs[depth]
@@ -69,9 +80,6 @@ def expand_masks(masks: Sequence[int], alpha: Weight, prune: bool = True) -> dic
                 extend(j + 1, u, depth + 1)
 
     extend(0, 0, 0)
-
-    wrap = (2 << alpha.exp) - 1  # num & wrap == 0 iff weight is 0 mod 2
-    return {mask: red for mask, num in acc.items() if (red := num & wrap)}
 
 
 def power_of_product(

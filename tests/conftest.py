@@ -8,6 +8,12 @@ from hypothesis import strategies as st
 from hyperlu.hypergraph import SimpleGraph, WeightedHypergraph
 from hyperlu.weights import Weight
 
+# the verify workload's construction specs, in its job order
+VERIFY_LADDER = (
+    "bipartite:7:5", "twentyseven", "bipartite:7:4", "bipartite:8:5", "bipartite:11:9",
+    "bipartite:11:8", "bipartite:11:4", "bipartite:11:7", "bipartite:11:6", "bipartite:9:5",
+)
+
 
 def weights(max_exp: int = 3) -> st.SearchStrategy[Weight]:
     return st.builds(

@@ -304,6 +304,33 @@ def test_faulty_sweep_fold_exits_70(monkeypatch, capsys, fault, where):
     assert f"engine sweep state disagrees with the raw ledger at {where}" in err
 
 
+def test_verify_496_qubit_member_confirms(capsys):
+    """bipartite:31:29 is checked against its closed-form ledger; the
+    enumerated one would need 465 * (2^29 - 1) subsets."""
+    assert run("verify", "--spec", "bipartite:31:29") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["confirmed"] is True
+    assert payload["lemma"]["certificate"] == "parity"
+
+
+def test_verify_non_cancelling_62_qubit_member_lists_residues(capsys):
+    assert run("verify", "--spec", "bipartite:31:30") == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lu"]["equivalent"] is False
+    residues = payload["lu"]["ledger"]["residues"]
+    assert len(residues) == 465 and residues[0] == {"v": [0, 1], "w": "3/2"}
+
+
+def test_over_cap_sweep_names_its_step(capsys):
+    """Every right vertex's link is 466 edges: the batched sweep refuses
+    the first gate's expansion with that gate's index."""
+    assert run("verify", "--spec", "bipartite:467:466") == 3
+    assert capsys.readouterr().err == (
+        "error: step 0: expansion over 466 edges up to size 3 enumerates "
+        "more than 16777215 subsets\n"
+    )
+
+
 def test_deep_nullspace_search_is_a_verdict(tmp_path, capsys):
     """400 vertices, edges 0-1 and 1-2, against the local complement at 1:
     the nullspace has over a thousand dimensions, deeper than Python's

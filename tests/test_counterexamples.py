@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from conftest import VERIFY_LADDER
 from hyperlu import counterexamples as cx
 from hyperlu import oracle, transforms
-from hyperlu.errors import CancellationError, PreconditionError
-from hyperlu.hypergraph import from_graph, is_graph_state, states_equal
+from hyperlu.errors import CancellationError, PreconditionError, SizeLimitError
+from hyperlu.hypergraph import SimpleGraph, from_graph, is_graph_state, states_equal
 from hyperlu.lc_solver import BipartiteSplit
 from hyperlu.transforms import apply_sequence
 from hyperlu.weights import Weight
@@ -135,6 +137,70 @@ class TestDeriveLuPartner:
             assert rows[0].reduced == Weight.from_fraction(expected_raw % 2)
 
 
+class TestClosedFormLedger:
+    """The spec paths' ledger, from the construction's definition, against
+    the enumeration that every caller-supplied graph still runs."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        VERIFY_LADDER + (
+            "bipartite:15:4", "bipartite:15:5", "bipartite:15:12", "bipartite:15:13",
+            "bipartite:5:2", "bipartite:6:3", "bipartite:4:4", "bipartite:3:2",
+            "bipartite:1:1", "bipartite:2:1",
+        ),
+    )
+    def test_equals_the_enumeration(self, spec):
+        s = cx.parse_spec(spec)
+        g, split = cx.build(s)
+        alpha = Fraction(1, 4)
+        closed = cx._closed_form_ledger(s, alpha)
+        enumerated = cx._enumerated_ledger(g, split, alpha)
+        assert closed.rows == enumerated.rows
+        assert closed.deltas == enumerated.deltas
+
+    def test_only_the_construction_specs_have_one(self):
+        assert cx._closed_form_ledger(cx.GraphToHypergraph7(), Fraction(1, 4)) is None
+        assert cx._closed_form_ledger(None, Fraction(1, 4)) is None
+
+    def test_spec_paths_do_not_enumerate(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated the sweep ledger")
+
+        monkeypatch.setattr(cx, "_raw_sweep_deltas", refuse)
+        for spec in VERIFY_LADDER + ("bipartite:3:2",):
+            cx.verify_construction(cx.parse_spec(spec))
+        with pytest.raises(AssertionError, match="enumerated"):
+            cx.verify_construction(cx.GraphToHypergraph7())
+
+    def test_over_cap_enumeration_is_refused_before_it_starts(self):
+        """31 right vertices of degree 30 hold 31 * (2^30 - 1) subsets."""
+        g, split = cx.build(cx.BipartiteSubsets(31, 30))
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="more than 16777215 subsets"):
+            cx.verify_counterexample(g, split, g)
+        assert time.perf_counter() - start < 1.0
+
+    def test_the_cap_is_inclusive(self, monkeypatch):
+        """A right vertex of degree 24 holds 2^24 - 1 subsets, exactly the
+        cap, and is enumerated; a second right vertex tips it over."""
+
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr(cx, "combinations", started)
+        edges = [(u, 24) for u in range(24)]
+        g = SimpleGraph.from_edges(25, edges)
+        with pytest.raises(Started):
+            cx._raw_sweep_deltas(g, BipartiteSplit(tuple(range(24)), (24,)), Fraction(1, 4))
+        g = SimpleGraph.from_edges(27, edges + [(25, 26)])
+        split = BipartiteSplit(tuple(range(24)) + (25,), (24, 26))
+        with pytest.raises(SizeLimitError):
+            cx._raw_sweep_deltas(g, split, Fraction(1, 4))
+
+
 class TestGraphToHypergraph7:
     def test_pipeline_reaches_expected_state(self):
         g, witness, expected = cx.build_graph_to_hypergraph7()
@@ -188,9 +254,9 @@ class TestVerify:
         calls = []
         derive = cx.derive_lu_partner
 
-        def counting(g, split):
+        def counting(g, split, spec=None):
             calls.append(g.n)
-            return derive(g, split)
+            return derive(g, split, spec)
 
         monkeypatch.setattr(cx, "derive_lu_partner", counting)
         report = cx.verify_construction(cx.TwentySeven())
