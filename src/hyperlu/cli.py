@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.set_defaults(func=_cmd_transform)
 
     ver = sub.add_parser("verify", help="verify a constructed pair")
-    ver.add_argument("--spec", required=True, help="bipartite:N:R or twentyseven")
+    ver.add_argument("--spec", required=True, help="bipartite:N:R, twentyseven or g2h7")
     ver.add_argument("--report", help="write the JSON report here")
     ver.add_argument("--against", help="adjacency file to compare against")
     ver.add_argument(

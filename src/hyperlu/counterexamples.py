@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
@@ -31,6 +31,7 @@ from .hypergraph import (
     Edge,
     SimpleGraph,
     WeightedHypergraph,
+    check_edge_bits,
     check_vertex_count,
     from_graph,
     to_graph,
@@ -52,7 +53,7 @@ from .transforms import (
 )
 from .weights import ONE, QUARTER, ZERO, Weight
 
-DEFAULT_RIGHT_CAP = 100_000
+RIGHT_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,7 @@ class BipartiteSubsets:
 class TwentySeven:
     """Six central vertices joined to all their 5-subsets and 4-subsets."""
 
-    @property
-    def name(self) -> str:
-        return "twentyseven"
+    name = "twentyseven"
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,7 @@ class GraphToHypergraph7:
     """Seven-qubit graph whose state is locally equivalent to a
     hypergraph state with a three-edge."""
 
-    @property
-    def name(self) -> str:
-        return "g2h7"
+    name = "g2h7"
 
 
 ConstructionSpec = Union[BipartiteSubsets, TwentySeven, GraphToHypergraph7]
@@ -97,60 +94,43 @@ def parse_spec(text: str) -> ConstructionSpec:
     parts = text.strip().split(":")
     if parts[0] == "bipartite" and len(parts) == 3:
         return BipartiteSubsets(int(parts[1]), int(parts[2]))
-    if text.strip() == "twentyseven":
-        return TwentySeven()
-    if text.strip() == "g2h7":
-        return GraphToHypergraph7()
+    for spec in (TwentySeven(), GraphToHypergraph7()):
+        if text.strip() == spec.name:
+            return spec
     raise ValueError(f"unknown construction spec {text!r}")
 
 
-def _binomial_within(n: int, r: int, cap: int) -> int | None:
-    """C(n, r), or None once it exceeds ``cap``.
-
-    Builds C(n - r + k, k) for k = 1..r with r = min(r, n - r); the
-    sequence never decreases, so it stops at the first term past the cap
-    instead of computing a binomial of any size in full.
-    """
-    r = min(r, n - r)
-    count = 1
-    for k in range(1, r + 1):
-        count = count * (n - r + k) // k
-        if count > cap:
-            return None
-    return count if count <= cap else None
-
-
-def build(
-    spec: ConstructionSpec, right_cap: int = DEFAULT_RIGHT_CAP
-) -> tuple[SimpleGraph, BipartiteSplit]:
-    """Deterministic construction: left block first, right blocks in
-    lexicographic subset order."""
-    if isinstance(spec, BipartiteSubsets):
-        check_vertex_count(spec.n)
-        count = _binomial_within(spec.n, spec.r, right_cap)
-        if count is None:
-            raise SizeLimitError(f"C({spec.n},{spec.r}) exceeds cap {right_cap}")
-        check_vertex_count(spec.n + count)
-        edges = []
-        v = spec.n
-        for subset in combinations(range(spec.n), spec.r):
-            edges += [(u, v) for u in subset]
-            v += 1
-        g = SimpleGraph.from_edges(spec.n + count, edges)
-        return g, BipartiteSplit(tuple(range(spec.n)), tuple(range(spec.n, g.n)))
-    if isinstance(spec, TwentySeven):
-        edges = []
-        v = 6
-        for size in (5, 4):
-            for subset in combinations(range(6), size):
-                edges += [(u, v) for u in subset]
-                v += 1
-        g = SimpleGraph.from_edges(27, edges)
-        return g, BipartiteSplit(tuple(range(6)), tuple(range(6, 27)))
+def build(spec: ConstructionSpec) -> tuple[SimpleGraph, BipartiteSplit]:
+    """Deterministic construction: left block first, then one right vertex
+    per left subset of each listed size, in lexicographic subset order."""
     if isinstance(spec, GraphToHypergraph7):
         g, _, _ = build_graph_to_hypergraph7()
         return g, BipartiteSplit((1, 2, 3), (0, 4, 5, 6))
-    raise TypeError(f"unsupported spec {spec!r}")
+    if isinstance(spec, TwentySeven):
+        n, sizes = 6, (5, 4)
+    elif isinstance(spec, BipartiteSubsets):
+        n, r, sizes = spec.n, spec.r, (spec.r,)
+        check_vertex_count(n)
+        # C(n, r) as C(n - m + k, k) for k = 1..m, m = min(r, n - r): the terms
+        # never decrease, so the first one past the cap refuses the spec
+        count, m = 1, min(r, n - r)
+        for k in range(1, m + 1):
+            count = count * (n - m + k) // k
+            if count > RIGHT_CAP:
+                raise SizeLimitError(f"C({n},{r}) exceeds cap {RIGHT_CAP}")
+        check_vertex_count(n + count)
+        # right vertex n + j holds r edges of n + j + 1 bits each
+        check_edge_bits(r * count * (2 * n + count + 1) // 2)
+    else:
+        raise TypeError(f"unsupported spec {spec!r}")
+    edges = []
+    v = n
+    for size in sizes:
+        for subset in combinations(range(n), size):
+            edges += [(u, v) for u in subset]
+            v += 1
+    g = SimpleGraph.from_edges(v, edges)
+    return g, BipartiteSplit(tuple(range(n)), tuple(range(n, v)))
 
 
 def build_graph_to_hypergraph7() -> tuple[SimpleGraph, GateSequence, WeightedHypergraph]:
@@ -288,42 +268,45 @@ def _enumerated_ledger(
     return SweepLedger(rows, deltas)
 
 
-def _closed_form_ledger(spec: ConstructionSpec | None, alpha: Fraction) -> SweepLedger | None:
-    """The sweep ledger of ``build(spec)`` from the construction's definition.
+def _subset_sizes(g: SimpleGraph, split: BipartiteSplit) -> tuple[int, ...] | None:
+    """The right vertices' degrees when, for each such degree s, they are
+    joined to every left s-subset once; None for any other graph.
 
-    The left vertices are 0..n-1 and each right vertex is joined to one
-    left subset of a listed size, each subset of that size once. So the
-    right vertices covering a left s-subset number the sum over sizes r
-    of C(n - s, r - s), the same for every s-subset, and each of the
-    C(n, s) of them carries (-2)**(s-1) * alpha times that count. None
-    for a spec without this form, or no spec.
+    That holds when the right rows are distinct and C(k1, s) of them have
+    degree s, since ``split.validate`` keeps their neighbours on the left.
     """
-    if isinstance(spec, BipartiteSubsets):
-        n, sizes = spec.n, (spec.r,)
-    elif isinstance(spec, TwentySeven):
-        n, sizes = 6, (5, 4)
-    else:
+    rows = [g.rows[v] for v in split.right]
+    if len(set(rows)) != len(rows):
         return None
+    per_size = Counter(row.bit_count() for row in rows)
+    if any(count != math.comb(split.k1, s) for s, count in per_size.items()):
+        return None
+    return tuple(per_size)
+
+
+def _closed_form_ledger(left: Sequence[int], sizes: Sequence[int], alpha: Fraction) -> SweepLedger:
+    """The sweep ledger of a subset family, from its definition: every left
+    s-subset is covered by the sum over sizes r of C(n - s, r - s) right
+    vertices, so each of the C(n, s) of them carries (-2)**(s-1) * alpha
+    times that count."""
+    n = len(left)
     rows: list[LedgerRow] = []
     deltas: dict[Edge, Weight] = {}
-    for s in range(1, max(sizes) + 1):
+    for s in range(1, max(sizes, default=0) + 1):
         cover = sum(math.comb(n - s, r - s) for r in sizes if r >= s)
         raw = Fraction((-2) ** (s - 1)) * alpha * cover
         reduced = Weight.from_fraction(raw % 2)
         rows.append(LedgerRow(s, raw, reduced, math.comb(n, s)))
         if reduced:  # zero once 2**(s-1) * alpha is even: from s = 4 for alpha = 1/4
-            deltas.update(dict.fromkeys(combinations(range(n), s), reduced))
+            deltas.update(dict.fromkeys(combinations(left, s), reduced))
     return SweepLedger(rows, deltas)
 
 
-def derive_lu_partner(
-    g: SimpleGraph, split: BipartiteSplit, spec: ConstructionSpec | None = None
-) -> LuDerivation:
+def derive_lu_partner(g: SimpleGraph, split: BipartiteSplit) -> LuDerivation:
     """Run the X^(1/4) sweep plus Z corrections and extract the target graph.
 
-    ``spec``, when given, is the construction ``g`` and ``split`` were
-    built from; the sweep is then checked against its closed-form ledger
-    where it has one, and against the enumerated ledger otherwise.
+    The sweep is checked against the closed-form ledger when the split
+    graph is a subset family, and against the enumerated ledger otherwise.
     Raises :class:`CancellationError` (carrying the full ledger) when
     fractional or higher-cardinality edges survive, i.e. when the
     construction parameters do not cancel.
@@ -336,9 +319,11 @@ def derive_lu_partner(
     fold.x_power_batch(split.right, alpha)
     state = fold.state()
 
-    sweep_ledger = _closed_form_ledger(spec, alpha.as_fraction())
-    if sweep_ledger is None:
+    sizes = _subset_sizes(g, split)
+    if sizes is None:
         sweep_ledger = _enumerated_ledger(g, split, alpha.as_fraction())
+    else:
+        sweep_ledger = _closed_form_ledger(split.left, sizes, alpha.as_fraction())
     # the whole sweep state against the ledger: g's edges at weight 1
     # plus every delta mod 2, nothing else, and phase 0
     expected: dict[Edge, Weight] = dict.fromkeys(g.edge_list(), ONE)
@@ -490,7 +475,7 @@ def verify_construction(
     start = time.perf_counter()
     g1, split = built if built is not None else build(spec)
     try:
-        derivation = derive_lu_partner(g1, split, spec)
+        derivation = derive_lu_partner(g1, split)
     except CancellationError as exc:
         return VerificationReport(
             spec_name=spec.name,

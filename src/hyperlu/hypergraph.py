@@ -18,17 +18,24 @@ from .weights import ONE, ZERO, Weight
 
 Edge = tuple[int, ...]
 
-# Largest vertex count accepted from input and construction specs. An
-# edge on vertex v is a (v + 1)-bit mask inside the engine, so loading
-# bounds n; 2^18 leaves room for bipartite constructions with 100,000
-# left and 100,000 right vertices.
+# Largest vertex count, and largest sum over edges of top vertex + 1,
+# accepted from input and construction specs. An edge on vertex v is a
+# (v + 1)-bit mask inside the engine, and its adjacency rows as wide, so
+# the second bounds the memory that edge masks and rows take.
 MAX_VERTICES = 1 << 18
+MAX_EDGE_BITS = 1 << 32
 
 
 def check_vertex_count(n: int) -> None:
     """Reject a vertex count above :data:`MAX_VERTICES` from input."""
     if n > MAX_VERTICES:
         raise SizeLimitError(f"vertex count {n} exceeds {MAX_VERTICES}")
+
+
+def check_edge_bits(bits: int) -> None:
+    """Reject edges of more than :data:`MAX_EDGE_BITS` bits in all from input."""
+    if bits > MAX_EDGE_BITS:
+        raise SizeLimitError(f"edges of {bits} bits exceed {MAX_EDGE_BITS}")
 
 
 def normalize_edge(vertices: Iterable[int]) -> Edge:

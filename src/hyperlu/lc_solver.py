@@ -184,13 +184,11 @@ def _search_nullspace(basis: list[int], n: int, max_nodes: int) -> int | None:
     return None
 
 
-def lc_equivalent(
-    g1: SimpleGraph, g2: SimpleGraph, max_nodes: int = DEFAULT_NODE_BUDGET
-) -> CliffordWitness | None:
+def lc_equivalent(g1: SimpleGraph, g2: SimpleGraph) -> CliffordWitness | None:
     """Witness of local-Clifford equivalence, or None when impossible.
 
-    Raises :class:`InconclusiveError` when the search budget runs out;
-    that outcome is never reported as inequivalence.
+    Raises :class:`InconclusiveError` past ``DEFAULT_NODE_BUDGET`` search
+    nodes; that outcome is never reported as inequivalence.
     """
     if g1.n != g2.n:
         raise DimensionMismatchError(f"graph sizes differ: {g1.n} != {g2.n}")
@@ -208,7 +206,7 @@ def lc_equivalent(
     for span in _vertex_pattern_spans(basis, n):
         if not (span & _VALID_PATTERNS):
             return None
-    x = _search_nullspace(basis, n, max_nodes)
+    x = _search_nullspace(basis, n, DEFAULT_NODE_BUDGET)
     if x is None:
         return None
     witness = _witness_from_mask(x, n)

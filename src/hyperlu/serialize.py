@@ -14,6 +14,7 @@ from typing import Any
 from .hypergraph import (
     SimpleGraph,
     WeightedHypergraph,
+    check_edge_bits,
     check_vertex_count,
     from_graph,
     to_graph,
@@ -68,11 +69,15 @@ def hypergraph_from_dict(data: dict) -> WeightedHypergraph:
         raise ValueError(f"state: vertex count {n} is negative")
     check_vertex_count(n)
     items = []
+    bits = 0
     for i, item in enumerate(_field(data, "edges", list, "state")):
         vertices = _field(item, "v", list, "state edge", i)
         for v in vertices:
             if type(v) is not int:
                 raise ValueError(f"state edge {i}: vertex must be an integer, not {_json_type(v)}")
+        if vertices:  # a vertex past n counts as n; make() refuses it with its own message
+            bits += min(max(vertices), n) + 1
+            check_edge_bits(bits)
         items.append((vertices, _weight(item, "w", "state edge", i)))
     phase = _weight(data, "phase", "state") if "phase" in data else Weight(0)
     return WeightedHypergraph.make(n, items, phase)

@@ -91,7 +91,10 @@ class _Fold:
             m = edge_to_mask(e)
             self.nums[m] = w.num << (self.exp - w.exp)
             for v in e:
-                self.index.setdefault(v, set()).add(m)
+                if (masks := self.index.get(v)) is None:
+                    self.index[v] = {m}
+                else:
+                    masks.add(m)
         if h.phase:
             self.nums[0] = h.phase.num << (self.exp - h.phase.exp)
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -13,6 +15,23 @@ VERIFY_LADDER = (
     "bipartite:7:5", "twentyseven", "bipartite:7:4", "bipartite:8:5", "bipartite:11:9",
     "bipartite:11:8", "bipartite:11:4", "bipartite:11:7", "bipartite:11:6", "bipartite:9:5",
 )
+# small bipartite specs: four whose sweep does not cancel, two whose split is refused
+SMALL_SPECS = (
+    "bipartite:5:2", "bipartite:6:3", "bipartite:4:4",
+    "bipartite:3:2", "bipartite:1:1", "bipartite:2:1",
+)
+
+
+def per_subset_ledger(g, split, alpha: Fraction) -> dict[tuple[int, ...], Fraction]:
+    """The sweep ledger as one Fraction addition per subset occurrence."""
+    raw = defaultdict(Fraction)
+    for v in split.right:
+        nbrs = g.neighbors(v)
+        for size in range(1, len(nbrs) + 1):
+            contrib = Fraction((-2) ** (size - 1)) * alpha
+            for subset in itertools.combinations(nbrs, size):
+                raw[subset] += contrib
+    return dict(raw)
 
 
 def weights(max_exp: int = 3) -> st.SearchStrategy[Weight]:

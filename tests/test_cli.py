@@ -304,6 +304,13 @@ def test_faulty_sweep_fold_exits_70(monkeypatch, capsys, fault, where):
     assert f"engine sweep state disagrees with the raw ledger at {where}" in err
 
 
+def test_verify_help_names_every_spec_form(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("verify", "--help")
+    assert exc.value.code == 0
+    assert "bipartite:N:R, twentyseven or g2h7" in capsys.readouterr().out
+
+
 def test_verify_496_qubit_member_confirms(capsys):
     """bipartite:31:29 is checked against its closed-form ledger; the
     enumerated one would need 465 * (2^29 - 1) subsets."""
@@ -394,6 +401,37 @@ def test_huge_vertex_count_is_a_data_error(tmp_path, capsys, argv):
     assert run(*[a.format(**paths) for a in argv]) == 3
     assert time.perf_counter() - start < 1.0
     assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--spec", "bipartite:100000:1"],
+        ["verify", "--spec", "bipartite:20:6"],
+        ["gen", "bipartite", "--n", "262143", "--r", "262143"],
+        ["transform", "{state}", "{seq}"],
+        ["check-lc", "{state}", "{state}"],
+        ["export", "{state}", "--adj", "-"],
+    ],
+)
+def test_over_budget_edge_bits_are_a_data_error(tmp_path, capsys, argv):
+    """Edges whose top vertex + 1 sum past MAX_EDGE_BITS are refused where
+    they enter, before any edge mask or adjacency row is built: about
+    2^33.8, 2^32.1 and 2^36 bits for the specs, 2^34 for the state of
+    2^16 edges (i, 2^18 - 1)."""
+    import time
+
+    n = 1 << 18
+    state = tmp_path / "s.json"
+    seq = tmp_path / "q.json"
+    edges = [{"v": [i, n - 1], "w": "1"} for i in range(1 << 16)]
+    state.write_text(json.dumps({"n": n, "edges": edges, "phase": "0"}))
+    seq.write_text(json.dumps([{"q": 0, "g": "Xp", "a": "1/4"}]))
+    start = time.perf_counter()
+    assert run(*[a.format(state=state, seq=seq) for a in argv]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "bits exceed 4294967296" in err
 
 
 def test_over_cap_binomial_is_refused_without_computing_it(capsys):

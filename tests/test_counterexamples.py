@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import time
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import VERIFY_LADDER
+from conftest import SMALL_SPECS, VERIFY_LADDER, per_subset_ledger
 from hyperlu import counterexamples as cx
 from hyperlu import oracle, transforms
 from hyperlu.errors import CancellationError, PreconditionError, SizeLimitError
@@ -46,10 +47,28 @@ class TestBuild:
         assert a == b and a.rows == b.rows
 
     def test_right_cap(self):
-        from hyperlu.errors import SizeLimitError
+        with pytest.raises(SizeLimitError, match=r"C\(30,15\) exceeds cap 100000"):
+            cx.build(cx.BipartiteSubsets(30, 15))
 
-        with pytest.raises(SizeLimitError):
-            cx.build(cx.BipartiteSubsets(30, 15), right_cap=1000)
+    @pytest.mark.parametrize(
+        "spec, sizes",
+        [("bipartite:7:5", (5,)), ("bipartite:15:13", (13,)), ("bipartite:1:1", (1,)),
+         ("twentyseven", (5, 4)), ("g2h7", (3, 2))],
+    )
+    def test_every_spec_builds_a_subset_family(self, spec, sizes):
+        """Each built spec joins its right vertices to every left subset of
+        each listed size once, so its sweep takes the closed-form ledger."""
+        g, split = cx.build(cx.parse_spec(spec))
+        assert cx._subset_sizes(g, split) == sizes
+
+    @pytest.mark.parametrize("spec", ["bipartite:7:5", "bipartite:15:4", "bipartite:31:29"])
+    def test_edge_bit_count_is_the_built_sum(self, monkeypatch, spec):
+        """The bits a bipartite spec is checked for are the sum over its
+        edges of top vertex + 1, counted before any edge exists."""
+        counted = []
+        monkeypatch.setattr(cx, "check_edge_bits", counted.append)
+        g, _ = cx.build(cx.parse_spec(spec))
+        assert counted == [sum(j + 1 for _, j in g.edge_list())]
 
     def test_parse_spec(self):
         assert cx.parse_spec("bipartite:7:5") == cx.BipartiteSubsets(7, 5)
@@ -137,44 +156,104 @@ class TestDeriveLuPartner:
             assert rows[0].reduced == Weight.from_fraction(expected_raw % 2)
 
 
+def ledger_from_raw(raw: dict) -> tuple[list, dict]:
+    """Rows and nonzero reduced deltas of raw per-edge Fraction weights."""
+    grouped = collections.Counter((len(e), frac) for e, frac in raw.items())
+    rows = [
+        cx.LedgerRow(card, frac, Weight.from_fraction(frac % 2), count)
+        for (card, frac), count in sorted(grouped.items())
+    ]
+    deltas = {e: Weight.from_fraction(f % 2) for e, f in raw.items() if f % 2}
+    return rows, deltas
+
+
+def without_last_right(g: SimpleGraph, split: BipartiteSplit):
+    last = split.right[-1]
+    edges = [e for e in g.edge_list() if last not in e]
+    return SimpleGraph.from_edges(g.n - 1, edges), BipartiteSplit(split.left, split.right[:-1])
+
+
+def with_right(g: SimpleGraph, split: BipartiteSplit, nbrs):
+    edges = g.edge_list() + [(u, g.n) for u in nbrs]
+    return SimpleGraph.from_edges(g.n + 1, edges), BipartiteSplit(split.left, split.right + (g.n,))
+
+
+def derive_outcome(g: SimpleGraph, split: BipartiteSplit):
+    try:
+        d = cx.derive_lu_partner(g, split)
+    except CancellationError as exc:
+        return None, None, exc.ledger.as_dict()
+    return d.target, d.witness, d.ledger.as_dict()
+
+
 class TestClosedFormLedger:
-    """The spec paths' ledger, from the construction's definition, against
-    the enumeration that every caller-supplied graph still runs."""
+    """A subset family's ledger, read off the graph, against the test-side
+    per-subset ledger; any other graph enumerates."""
 
     @pytest.mark.parametrize(
         "spec",
-        VERIFY_LADDER + (
-            "bipartite:15:4", "bipartite:15:5", "bipartite:15:12", "bipartite:15:13",
-            "bipartite:5:2", "bipartite:6:3", "bipartite:4:4", "bipartite:3:2",
-            "bipartite:1:1", "bipartite:2:1",
-        ),
+        VERIFY_LADDER + ("g2h7",) + SMALL_SPECS
+        + ("bipartite:15:4", "bipartite:15:5", "bipartite:15:12", "bipartite:15:13"),
     )
-    def test_equals_the_enumeration(self, spec):
-        s = cx.parse_spec(spec)
-        g, split = cx.build(s)
+    def test_equals_the_per_subset_ledger(self, spec):
+        g, split = cx.build(cx.parse_spec(spec))
         alpha = Fraction(1, 4)
-        closed = cx._closed_form_ledger(s, alpha)
-        enumerated = cx._enumerated_ledger(g, split, alpha)
-        assert closed.rows == enumerated.rows
-        assert closed.deltas == enumerated.deltas
+        closed = cx._closed_form_ledger(split.left, cx._subset_sizes(g, split), alpha)
+        rows, deltas = ledger_from_raw(per_subset_ledger(g, split, alpha))
+        assert closed.rows == rows
+        assert closed.deltas == deltas
 
-    def test_only_the_construction_specs_have_one(self):
-        assert cx._closed_form_ledger(cx.GraphToHypergraph7(), Fraction(1, 4)) is None
-        assert cx._closed_form_ledger(None, Fraction(1, 4)) is None
+    @pytest.mark.parametrize(
+        "change",
+        [
+            without_last_right,
+            lambda g, split: with_right(g, split, g.neighbors(split.right[-1])),
+            lambda g, split: with_right(g, split, (0, 1)),
+            lambda g, split: with_right(
+                *without_last_right(g, split), g.neighbors(split.right[0])
+            ),
+        ],
+        ids=[
+            "right-vertex-removed", "right-vertex-duplicated", "second-size-added",
+            "right-vertex-duplicated-in-place-of-another",
+        ],
+    )
+    def test_other_graphs_enumerate(self, monkeypatch, change):
+        """A family with one right vertex removed, one duplicated, or one of
+        a second size added is no family: it derives what a forced
+        enumeration derives. The last case keeps every size's count and
+        differs only in repeating a row."""
+        g, split = change(*cx.build(cx.BipartiteSubsets(7, 4)))
+        assert cx._subset_sizes(g, split) is None
+        got = derive_outcome(g, split)
+        monkeypatch.setattr(cx, "_subset_sizes", lambda g, split: None)
+        assert got == derive_outcome(g, split)
 
     def test_spec_paths_do_not_enumerate(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("enumerated the sweep ledger")
 
         monkeypatch.setattr(cx, "_raw_sweep_deltas", refuse)
-        for spec in VERIFY_LADDER + ("bipartite:3:2",):
+        for spec in VERIFY_LADDER + ("g2h7", "bipartite:3:2", "bipartite:15:13"):
             cx.verify_construction(cx.parse_spec(spec))
+        g, split = without_last_right(*cx.build(cx.BipartiteSubsets(7, 5)))
         with pytest.raises(AssertionError, match="enumerated"):
-            cx.verify_construction(cx.GraphToHypergraph7())
+            cx.derive_lu_partner(g, split)
+
+    def test_family_member_past_the_enumeration_cap_verifies(self):
+        """bipartite:31:29 would enumerate 465 * (2^29 - 1) subsets; read off
+        the graph, its ledger is the closed form and the pair confirms."""
+        g, split = cx.build(cx.BipartiteSubsets(31, 29))
+        target = SimpleGraph.from_edges(
+            g.n, g.edge_list() + list(itertools.combinations(split.left, 2))
+        )
+        report = cx.verify_counterexample(g, split, target)
+        assert report.confirmed and report.lemma.certificate == "parity"
 
     def test_over_cap_enumeration_is_refused_before_it_starts(self):
-        """31 right vertices of degree 30 hold 31 * (2^30 - 1) subsets."""
-        g, split = cx.build(cx.BipartiteSubsets(31, 30))
+        """bipartite:31:30 without its last right vertex is no family, and
+        its 30 right vertices of degree 30 hold 30 * (2^30 - 1) subsets."""
+        g, split = without_last_right(*cx.build(cx.BipartiteSubsets(31, 30)))
         start = time.perf_counter()
         with pytest.raises(SizeLimitError, match="more than 16777215 subsets"):
             cx.verify_counterexample(g, split, g)
@@ -254,9 +333,9 @@ class TestVerify:
         calls = []
         derive = cx.derive_lu_partner
 
-        def counting(g, split, spec=None):
+        def counting(g, split):
             calls.append(g.n)
-            return derive(g, split, spec)
+            return derive(g, split)
 
         monkeypatch.setattr(cx, "derive_lu_partner", counting)
         report = cx.verify_construction(cx.TwentySeven())

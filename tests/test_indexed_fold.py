@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import VERIFY_LADDER, all_graphs
+from conftest import VERIFY_LADDER, all_graphs, per_subset_ledger
 from hyperlu import counterexamples as cx
 from hyperlu import lc_solver, oracle
 from hyperlu.errors import PreconditionError, SequenceStepError, VertexRangeError
@@ -430,18 +430,6 @@ class TestVertexCap:
         assert time.perf_counter() - start < 0.2
         assert len(fold.index) <= 4
         assert out == scan_apply_sequence(h, seq)
-
-
-def per_subset_ledger(g, split, alpha: Fraction):
-    """The sweep ledger as one Fraction addition per subset occurrence."""
-    raw = defaultdict(Fraction)
-    for v in split.right:
-        nbrs = g.neighbors(v)
-        for size in range(1, len(nbrs) + 1):
-            contrib = Fraction((-2) ** (size - 1)) * alpha
-            for subset in itertools.combinations(nbrs, size):
-                raw[subset] += contrib
-    return dict(raw)
 
 
 @pytest.mark.parametrize("spec", VERIFY_LADDER)

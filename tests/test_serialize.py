@@ -113,3 +113,18 @@ class TestDot:
 def test_state_must_be_an_object(data):
     with pytest.raises(ValueError, match="state must be an object"):
         serialize.hypergraph_from_dict(data)
+
+
+def test_edge_bit_budget_is_inclusive():
+    """2^14 edges (i, 2^18 - 1) hold 2^14 * 2^18 = MAX_EDGE_BITS bits and
+    load; one more edge, even a single vertex, is refused."""
+    from hyperlu.errors import SizeLimitError
+    from hyperlu.hypergraph import MAX_EDGE_BITS
+
+    n = 1 << 18
+    data = {"n": n, "edges": [{"v": [n - 1, i], "w": "1"} for i in range(1 << 14)]}
+    assert (1 << 14) * n == MAX_EDGE_BITS
+    assert len(serialize.hypergraph_from_dict(data).edges) == 1 << 14
+    data["edges"].append({"v": [0], "w": "1/2"})
+    with pytest.raises(SizeLimitError, match="edges of 4294967297 bits exceed 4294967296"):
+        serialize.hypergraph_from_dict(data)
