@@ -17,7 +17,7 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -33,8 +33,9 @@ from .hypergraph import (
     WeightedHypergraph,
     check_edge_bits,
     check_vertex_count,
+    edge_to_mask,
     from_graph,
-    to_graph,
+    mask_to_edge,
 )
 from .lc_solver import (
     BipartiteSplit,
@@ -51,7 +52,7 @@ from .transforms import (
     x_power_gate,
     z_power_gate,
 )
-from .weights import ONE, QUARTER, ZERO, Weight
+from .weights import QUARTER, Weight
 
 RIGHT_CAP = 100_000
 
@@ -240,22 +241,12 @@ def _raw_sweep_deltas(
     return {s: Fraction((-2) ** (len(s) - 1)) * alpha * c for s, c in counts.items()}
 
 
-@dataclass
-class SweepLedger:
-    """What the X^(1/4) sweep must add, found without folding a gate.
-
-    ``rows`` group the raw weights by cardinality; ``deltas`` hold every
-    edge whose raw weight is nonzero mod 2, at that reduced weight.
-    """
-
-    rows: list[LedgerRow]
-    deltas: dict[Edge, Weight]
-
-
 def _enumerated_ledger(
     g: SimpleGraph, split: BipartiteSplit, alpha: Fraction
-) -> SweepLedger:
-    """The sweep ledger of any split graph, by enumerating every subset."""
+) -> tuple[list[LedgerRow], dict[int, Weight]]:
+    """The sweep ledger of any split graph, by enumerating every subset:
+    the raw weights grouped by cardinality, and every edge mask whose raw
+    weight is nonzero mod 2, at that reduced weight."""
     raw = _raw_sweep_deltas(g, split, alpha)
     grouped: dict[tuple[int, Fraction], int] = defaultdict(int)
     for e, frac in raw.items():
@@ -264,8 +255,8 @@ def _enumerated_ledger(
         LedgerRow(card, frac, Weight.from_fraction(frac % 2), count)
         for (card, frac), count in sorted(grouped.items())
     ]
-    deltas = {e: w for e, frac in raw.items() if (w := Weight.from_fraction(frac % 2))}
-    return SweepLedger(rows, deltas)
+    deltas = {edge_to_mask(e): w for e, f in raw.items() if (w := Weight.from_fraction(f % 2))}
+    return rows, deltas
 
 
 def _subset_sizes(g: SimpleGraph, split: BipartiteSplit) -> tuple[int, ...] | None:
@@ -284,22 +275,24 @@ def _subset_sizes(g: SimpleGraph, split: BipartiteSplit) -> tuple[int, ...] | No
     return tuple(per_size)
 
 
-def _closed_form_ledger(left: Sequence[int], sizes: Sequence[int], alpha: Fraction) -> SweepLedger:
+def _closed_form_ledger(
+    left: Sequence[int], sizes: Sequence[int], alpha: Fraction
+) -> tuple[list[LedgerRow], dict[int, Weight]]:
     """The sweep ledger of a subset family, from its definition: every left
     s-subset is covered by the sum over sizes r of C(n - s, r - s) right
     vertices, so each of the C(n, s) of them carries (-2)**(s-1) * alpha
-    times that count."""
+    times that count. Returned as :func:`_enumerated_ledger` returns it."""
     n = len(left)
     rows: list[LedgerRow] = []
-    deltas: dict[Edge, Weight] = {}
+    deltas: dict[int, Weight] = {}
     for s in range(1, max(sizes, default=0) + 1):
         cover = sum(math.comb(n - s, r - s) for r in sizes if r >= s)
         raw = Fraction((-2) ** (s - 1)) * alpha * cover
         reduced = Weight.from_fraction(raw % 2)
         rows.append(LedgerRow(s, raw, reduced, math.comb(n, s)))
         if reduced:  # zero once 2**(s-1) * alpha is even: from s = 4 for alpha = 1/4
-            deltas.update(dict.fromkeys(combinations(left, s), reduced))
-    return SweepLedger(rows, deltas)
+            deltas.update(dict.fromkeys(map(edge_to_mask, combinations(left, s)), reduced))
+    return rows, deltas
 
 
 def derive_lu_partner(g: SimpleGraph, split: BipartiteSplit) -> LuDerivation:
@@ -307,6 +300,8 @@ def derive_lu_partner(g: SimpleGraph, split: BipartiteSplit) -> LuDerivation:
 
     The sweep is checked against the closed-form ledger when the split
     graph is a subset family, and against the enumerated ledger otherwise.
+    Both sides are compared as numerators keyed by edge mask; vertex
+    tuples are built only for the report and for a disagreement's message.
     Raises :class:`CancellationError` (carrying the full ledger) when
     fractional or higher-cardinality edges survive, i.e. when the
     construction parameters do not cancel.
@@ -317,43 +312,51 @@ def derive_lu_partner(g: SimpleGraph, split: BipartiteSplit) -> LuDerivation:
     fold = _Fold(from_graph(g))
     # split.validate leaves no edge holding two right vertices: the batch's condition
     fold.x_power_batch(split.right, alpha)
-    state = fold.state()
+    nums, exp = fold.nums, fold.exp
 
     sizes = _subset_sizes(g, split)
     if sizes is None:
-        sweep_ledger = _enumerated_ledger(g, split, alpha.as_fraction())
+        rows, deltas = _enumerated_ledger(g, split, alpha.as_fraction())
     else:
-        sweep_ledger = _closed_form_ledger(split.left, sizes, alpha.as_fraction())
-    # the whole sweep state against the ledger: g's edges at weight 1
-    # plus every delta mod 2, nothing else, and phase 0
-    expected: dict[Edge, Weight] = dict.fromkeys(g.edge_list(), ONE)
-    for e, delta in sweep_ledger.deltas.items():
-        if w := expected.pop(e, ZERO) + delta:
-            expected[e] = w
-    engine = state.edge_dict() | ({(): state.phase} if state.phase else {})
-    if engine != expected:
-        e = min(e for e in engine.keys() | expected.keys() if engine.get(e) != expected.get(e))
+        rows, deltas = _closed_form_ledger(split.left, sizes, alpha.as_fraction())
+    # the whole sweep state against the ledger, over 2**exp (each delta is a multiple of
+    # alpha): g's edges at weight 1 plus every delta mod 2, nothing else, and phase (mask) 0
+    one = 1 << exp
+    expected = {(1 << u) | (1 << v): one for u, v in g.edge_list()}
+    for m, delta in deltas.items():
+        if num := (expected.pop(m, 0) + (delta.num << (exp - delta.exp))) % (2 * one):
+            expected[m] = num
+    if nums != expected:
+        diff = (m for m in nums.keys() | expected.keys() if nums.get(m) != expected.get(m))
+        e, m = min((mask_to_edge(m), m) for m in diff)  # vertex-tuple order, not mask order
         raise AssertionError(
-            f"engine sweep state disagrees with the raw ledger at {e}: "
-            f"engine weight {engine.get(e, ZERO)}, ledger weight {expected.get(e, ZERO)}"
+            f"engine sweep state disagrees with the raw ledger at {e}: engine weight "
+            f"{Weight(nums.get(m, 0), exp)}, ledger weight {Weight(expected.get(m, 0), exp)}"
         )
 
-    corrections = [(e[0], -w) for e, w in state.edges if len(e) == 1]
-    fixes: GateSequence = tuple(z_power_gate(q, w) for q, w in corrections)
     # each fix Z^(-w) on {q} cancels exactly the weight w of the edge {q}
     # and touches no other edge, so the fixes need no second fold
-    final = WeightedHypergraph(
-        state.n, tuple((e, w) for e, w in state.edges if len(e) != 1), state.phase
+    corrections = sorted(
+        (m.bit_length() - 1, Weight(-num, exp)) for m, num in nums.items() if m.bit_count() == 1
     )
-
-    residues = [(e, w) for e, w in final.edges if len(e) != 2 or w != ONE]
-    ledger = WeightLedger(alpha, sweep_ledger.rows, corrections, residues)
+    fixes: GateSequence = tuple(z_power_gate(q, w) for q, w in corrections)
+    residues = sorted(
+        (mask_to_edge(m), Weight(num, exp))
+        for m, num in nums.items()
+        if m.bit_count() > 2 or (m.bit_count() == 2 and num != one)
+    )
+    ledger = WeightLedger(alpha, rows, corrections, residues)
 
     if residues:
         raise CancellationError(
             f"{len(residues)} edges survive the sweep uncancelled", ledger=ledger
         )
-    return LuDerivation(to_graph(final), sweep + fixes, ledger)
+    target = [0] * g.n  # adjacency rows of the two-edges left, all at weight 1
+    for m in nums:
+        if m.bit_count() == 2:
+            for bit in (m & -m, m & (m - 1)):  # its low and high vertex
+                target[bit.bit_length() - 1] |= m ^ bit
+    return LuDerivation(SimpleGraph._trusted(g.n, tuple(target)), sweep + fixes, ledger)
 
 
 @dataclass
@@ -586,16 +589,14 @@ def degree_distribution_search(
     _check_pattern_input(g, split, ())
     first = _complement_left(g, split)
 
-    def all_subsets():
-        for size in range(0, split.k2 + 1):
-            yield from combinations(split.right, size)
-
-    def hits(subset: tuple[int, ...]) -> bool:
-        outcome = _finish_pattern(g.n, list(first), split.left, subset)
-        return outcome.ok and tuple(sorted(outcome.graph.degrees())) == target
-
-    gen = all_subsets()
-    batch = list(islice(gen, budget))
-    exhausted = next(gen, None) is not None
-    candidates = [subset for subset in batch if hits(subset)]
-    return SearchResult(candidates, len(batch), exhausted)
+    candidates: list[tuple[int, ...]] = []
+    examined = 0
+    for size in range(split.k2 + 1):
+        for subset in combinations(split.right, size):  # tested as drawn
+            if examined == budget:
+                return SearchResult(candidates, examined, True)
+            examined += 1
+            outcome = _finish_pattern(g.n, list(first), split.left, subset)
+            if outcome.ok and tuple(sorted(outcome.graph.degrees())) == target:
+                candidates.append(subset)
+    return SearchResult(candidates, examined, False)

@@ -19,8 +19,8 @@ from .errors import NonDyadicError, SizeLimitError
 # values computed inside the package stay exact and uncapped.
 MAX_PARSED_EXPONENT = 1024
 
-_CARET_RE = re.compile(r"^(-?\d+)\s*/\s*2\^(\d+)$")
-_PLAIN_RE = re.compile(r"^(-?\d+)(?:\s*/\s*(\d+))?$")
+# "p", "p/q" or "p/2^e": group 2 holds e, group 3 holds q
+_WEIGHT_RE = re.compile(r"^(-?\d+)(?:\s*/\s*(?:2\^(\d+)|(\d+)))?$")
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,14 @@ class Weight:
     @classmethod
     def parse(cls, text: str) -> "Weight":
         """Parse "p", "p/q" (q a power of two) or "p/2^e" forms."""
-        s = text.strip()
-        m = _CARET_RE.match(s)
-        if m:
-            num, exp = int(m.group(1)), int(m.group(2))
+        m = _WEIGHT_RE.match(text.strip())
+        if not m:
+            raise NonDyadicError(f"cannot parse weight {text!r}")
+        num = int(m.group(1))
+        if m.group(2) is not None:
+            exp = int(m.group(2))
         else:
-            m = _PLAIN_RE.match(s)
-            if not m:
-                raise NonDyadicError(f"cannot parse weight {text!r}")
-            num = int(m.group(1))
-            den = int(m.group(2)) if m.group(2) else 1
+            den = int(m.group(3)) if m.group(3) else 1
             if den == 0 or den & (den - 1):
                 raise NonDyadicError(f"denominator of {text!r} is not a power of two")
             exp = den.bit_length() - 1

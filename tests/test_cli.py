@@ -270,35 +270,43 @@ def test_verify_against_builds_the_construction_once(tmp_path, monkeypatch, caps
     assert [] in payload["against"]["search"]["candidates"] and code == 2
 
 
-def _drop_edge(edges):
-    return [(e, w) for e, w in edges if e != (0, 6)]
+def _drop_edge(fold):
+    del fold.nums[0b1000001]  # (0, 6)
 
 
-def _add_right_edge(edges):
-    return [*edges, ((6, 7), Weight(1))]
+def _add_right_edge(fold):
+    fold.nums[0b11000000] = 1 << fold.exp  # (6, 7) at weight 1
 
 
-def _wrong_weight(edges):
-    return [(e, Weight(1, 1) if e == (0, 6) else w) for e, w in edges]
+def _wrong_weight(fold):
+    fold.nums[0b1000001] = 1 << (fold.exp - 1)  # (0, 6) at weight 1/2
+
+
+def _two_faults(fold):
+    _drop_edge(fold)
+    fold.nums[0b110] = 1 << (fold.exp - 1)  # (1, 2), mask 6, below (0, 6)'s mask 65
 
 
 @pytest.mark.parametrize(
     "fault, where",
-    [(_drop_edge, "(0, 6)"), (_add_right_edge, "(6, 7)"), (_wrong_weight, "(0, 6)")],
+    [
+        (_drop_edge, "(0, 6)"), (_add_right_edge, "(6, 7)"), (_wrong_weight, "(0, 6)"),
+        (_two_faults, "(0, 6)"),
+    ],
 )
 def test_faulty_sweep_fold_exits_70(monkeypatch, capsys, fault, where):
     """A fold that drops, adds or misweighs an edge is caught by the raw
-    weight ledger and is a crash, not a data error or a verdict."""
+    weight ledger and is a crash, not a data error or a verdict. The
+    message names the smallest differing edge as a vertex tuple."""
     from hyperlu import transforms
-    from hyperlu.hypergraph import WeightedHypergraph
 
-    state = transforms._Fold.state
+    batch = transforms._Fold.x_power_batch
 
-    def faulty(self):
-        h = state(self)
-        return WeightedHypergraph(h.n, tuple(sorted(fault(h.edges))), h.phase)
+    def faulty(self, qubits, alpha):
+        batch(self, qubits, alpha)
+        fault(self)
 
-    monkeypatch.setattr(transforms._Fold, "state", faulty)
+    monkeypatch.setattr(transforms._Fold, "x_power_batch", faulty)
     assert run("verify", "--spec", "twentyseven") == 70
     err = capsys.readouterr().err
     assert f"engine sweep state disagrees with the raw ledger at {where}" in err

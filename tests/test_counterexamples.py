@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import collections
+import hashlib
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
@@ -12,7 +14,7 @@ import pytest
 
 from conftest import SMALL_SPECS, VERIFY_LADDER, per_subset_ledger
 from hyperlu import counterexamples as cx
-from hyperlu import oracle, transforms
+from hyperlu import oracle, serialize, transforms
 from hyperlu.errors import CancellationError, PreconditionError, SizeLimitError
 from hyperlu.hypergraph import SimpleGraph, from_graph, is_graph_state, states_equal
 from hyperlu.lc_solver import BipartiteSplit
@@ -186,6 +188,60 @@ def derive_outcome(g: SimpleGraph, split: BipartiteSplit):
     return d.target, d.witness, d.ledger.as_dict()
 
 
+def outcome_digest(g: SimpleGraph, split: BipartiteSplit) -> str:
+    """sha256 of the target rows, witness and ledger that derivation gives."""
+    target, witness, ledger = derive_outcome(g, split)
+    payload = [
+        target.rows if target else None,
+        serialize.sequence_to_list(witness) if witness else None,
+        ledger,
+    ]
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+NON_FAMILY_CHANGES = [
+    without_last_right,
+    lambda g, split: with_right(g, split, g.neighbors(split.right[-1])),
+    lambda g, split: with_right(g, split, (0, 1)),
+    lambda g, split: with_right(*without_last_right(g, split), g.neighbors(split.right[0])),
+    lambda g, split: (
+        SimpleGraph.from_edges(g.n + 1, g.edge_list()),
+        BipartiteSplit(split.left + (g.n,), split.right),
+    ),
+]
+NON_FAMILY_IDS = [
+    "right-vertex-removed", "right-vertex-duplicated", "second-size-added",
+    "right-vertex-duplicated-in-place-of-another", "isolated-left-vertex-added",
+]
+
+
+# outcome_digest of each NON_FAMILY_CHANGES case on bipartite:<base>,
+# computed before the sweep check moved onto edge masks
+ENUMERATED_DIGESTS = {
+    "7:4": [
+        "7b4fb1b76b596a8e03d2ac310fa344e05475866f4d84d2c3721f35fd27cbff92",
+        "55d0ad4bfaac60922c4f369758b2a9265c7947be7c6e9f82f2c85200dbb7f1e6",
+        "571b30baa4a0e87a1f4f8d4a4fbb4b5ab1fef41659f75ba00356e0425bbd6758",
+        "884378d3fd12f03179fe9b4e35d1b5901ff74d7b49421c61cd15fcb47dd7f600",
+        "ed019f135cfe1665ea8d9c3baa66468e1fb7f282144d47ffe033a5b85c67c135",
+    ],
+    "7:5": [
+        "695434b8bc4ba4e5b3c9efc10a4a1ee82ac0abe9e868c8587e5869c217b7259c",
+        "98c5d841c94e0018cfe47a6fa7df95cd6993be1b02a3e02beda603c3a6afd0cd",
+        "babe6c6f5c919042d3fb63ef940af45182f60fbc81eb1628fb62903d4c3c127d",
+        "9439e7dab176f6eacd21cbe4dcae11d1edfdc76d6bae65209c7647d2f51d9e7d",
+        "66038d7512e1ca70b64ff8a5ddd26cb0d7eaded6e42098fce9343d5defa3bf06",
+    ],
+    "6:3": [
+        "5671199f7ceeda6ab37a3fdcac69dacbead5e408d5afe1041156a97d926191e1",
+        "cff6184d6c0f2f13839a8c4b35e471600643d20cf63ecd95f1e5a731469bf7a0",
+        "aa27eacca8f7d1c8e1c08f6ab778af24db2c01b2dd2d728364a12f0fc5e3081f",
+        "a8421c4b28ff4b7965f4070adeb089c38b5842946470f233a67db398c1fbbd19",
+        "aef0c1baffe1858d11a157095be0ec987c92c9584079534a2ca59b61e2aa2b7e",
+    ],
+}
+
+
 class TestClosedFormLedger:
     """A subset family's ledger, read off the graph, against the test-side
     per-subset ledger; any other graph enumerates."""
@@ -198,36 +254,33 @@ class TestClosedFormLedger:
     def test_equals_the_per_subset_ledger(self, spec):
         g, split = cx.build(cx.parse_spec(spec))
         alpha = Fraction(1, 4)
-        closed = cx._closed_form_ledger(split.left, cx._subset_sizes(g, split), alpha)
+        closed_rows, closed_deltas = cx._closed_form_ledger(
+            split.left, cx._subset_sizes(g, split), alpha
+        )
         rows, deltas = ledger_from_raw(per_subset_ledger(g, split, alpha))
-        assert closed.rows == rows
-        assert closed.deltas == deltas
+        assert closed_rows == rows
+        assert closed_deltas == {sum(1 << v for v in e): w for e, w in deltas.items()}
 
-    @pytest.mark.parametrize(
-        "change",
-        [
-            without_last_right,
-            lambda g, split: with_right(g, split, g.neighbors(split.right[-1])),
-            lambda g, split: with_right(g, split, (0, 1)),
-            lambda g, split: with_right(
-                *without_last_right(g, split), g.neighbors(split.right[0])
-            ),
-        ],
-        ids=[
-            "right-vertex-removed", "right-vertex-duplicated", "second-size-added",
-            "right-vertex-duplicated-in-place-of-another",
-        ],
-    )
+    @pytest.mark.parametrize("change", NON_FAMILY_CHANGES, ids=NON_FAMILY_IDS)
     def test_other_graphs_enumerate(self, monkeypatch, change):
-        """A family with one right vertex removed, one duplicated, or one of
-        a second size added is no family: it derives what a forced
-        enumeration derives. The last case keeps every size's count and
-        differs only in repeating a row."""
+        """A family with one right vertex removed, one duplicated, one of a
+        second size added, or an isolated left vertex added is no family:
+        it derives what a forced enumeration derives. The in-place
+        duplicate keeps every size's count and differs only in repeating a
+        row."""
         g, split = change(*cx.build(cx.BipartiteSubsets(7, 4)))
         assert cx._subset_sizes(g, split) is None
         got = derive_outcome(g, split)
         monkeypatch.setattr(cx, "_subset_sizes", lambda g, split: None)
         assert got == derive_outcome(g, split)
+
+    @pytest.mark.parametrize("base", ["7:4", "7:5", "6:3"])
+    @pytest.mark.parametrize("change", range(len(NON_FAMILY_CHANGES)), ids=NON_FAMILY_IDS)
+    def test_enumerated_outcomes_are_pinned(self, base, change):
+        """Target, witness and ledger of the non-family graphs, which take
+        the enumerated ledger; the last case cancels on 7:4 and 7:5."""
+        g, split = NON_FAMILY_CHANGES[change](*cx.build(cx.parse_spec(f"bipartite:{base}")))
+        assert outcome_digest(g, split) == ENUMERATED_DIGESTS[base][change]
 
     def test_spec_paths_do_not_enumerate(self, monkeypatch):
         def refuse(*args):
@@ -479,3 +532,36 @@ class TestDegreeSearch:
         g, split = cx.build(cx.BipartiteSubsets(3, 2))
         result = cx.degree_distribution_search(g, split, g.degrees(), budget=3)
         assert result.budget_exhausted and result.examined == 3
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 7, 8, 9])
+    def test_budget_edges(self, budget):
+        """bipartite:3:2 has 2^3 right subsets: a budget below that stops
+        early and is flagged; 8 or more examines all of them."""
+        g, split = cx.build(cx.BipartiteSubsets(3, 2))
+        result = cx.degree_distribution_search(g, split, g.degrees(), budget=budget)
+        assert (result.examined, result.budget_exhausted) == (min(budget, 8), budget < 8)
+        assert result.candidates == [()][: result.examined]
+
+    def test_subsets_are_tested_as_drawn(self, monkeypatch):
+        """Memory does not grow with the budget: the first subset is
+        tested before a second is drawn."""
+        drawn = []
+        combinations = cx.combinations
+
+        def counting(items, size):
+            for subset in combinations(items, size):
+                drawn.append(subset)
+                yield subset
+
+        class Tested(Exception):
+            pass
+
+        def refuse(*args):
+            raise Tested
+
+        g, split = cx.build(cx.TwentySeven())
+        monkeypatch.setattr(cx, "combinations", counting)
+        monkeypatch.setattr(cx, "_finish_pattern", refuse)
+        with pytest.raises(Tested):
+            cx.degree_distribution_search(g, split, g.degrees(), budget=3000)
+        assert len(drawn) <= 1

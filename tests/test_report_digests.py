@@ -10,12 +10,16 @@ subset family, so none of them may enumerate its sweep ledger.
 from __future__ import annotations
 
 import hashlib
+import random
+from itertools import combinations
 
 import pytest
 
 from conftest import SMALL_SPECS, VERIFY_LADDER
 from hyperlu import counterexamples as cx
+from hyperlu import serialize, transforms
 from hyperlu.cli import main
+from hyperlu.hypergraph import SimpleGraph
 
 DIGEST_SPECS = VERIFY_LADDER + (
     "g2h7", "bipartite:15:12", "bipartite:15:13", "bipartite:31:30",
@@ -26,9 +30,9 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def verify_digests(spec: str, capsys) -> tuple[str, str, str]:
+def verify_digests(spec: str, capsys, *extra: str) -> tuple[str, str, str]:
     """(stdout, stderr, exit code) digests of ``verify --spec spec``."""
-    code = main(["verify", "--spec", spec])
+    code = main(["verify", "--spec", spec, *extra])
     out, err = capsys.readouterr()
     out = "".join(
         line for line in out.splitlines(keepends=True)
@@ -144,8 +148,50 @@ DIGESTS = {
 
 @pytest.mark.parametrize("spec", DIGEST_SPECS)
 def test_verify_report_is_pinned(spec, capsys, monkeypatch):
-    enumerated = []
+    """No spec enumerates its ledger, and none builds the canonical sweep
+    state: the check reads the fold's numerators."""
+    enumerated, canonical = [], []
     monkeypatch.setattr(cx, "_raw_sweep_deltas", lambda *args: enumerated.append(args))
+    state = transforms._Fold.state
+    monkeypatch.setattr(transforms._Fold, "state", lambda self: canonical.append(1) or state(self))
     digests = verify_digests(spec, capsys)
-    assert enumerated == []
+    assert enumerated == [] and canonical == []
     assert digests == DIGESTS[spec]
+
+
+# verify --spec <spec> --against <walk> --budget 3000, where the walk is 12
+# local complementations at seeded random vertices of twentyseven's LU
+# partner (the graph plus a left clique) or of bipartite:7:5 itself;
+# computed before the sweep check moved onto edge masks
+AGAINST_DIGESTS = {
+    "twentyseven": (
+        "f84716d7f33ac80bfaaed235e3d626f660afefb487d64ef9d46617b490b3ef23",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d4735e3a265e16eee03f59718b9b5d03019c07d8b6c51f90da3a666eec13ab35",
+    ),
+    "bipartite:7:5": (
+        "dd244570d95706b6f4a3280ac790a25c2b5697b5ec5568e7a04177ba02da5cc1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d4735e3a265e16eee03f59718b9b5d03019c07d8b6c51f90da3a666eec13ab35",
+    ),
+}
+
+
+def walked_adjacency(spec: str, path) -> str:
+    g, split = cx.build(cx.parse_spec(spec))
+    rows = list(g.rows)
+    if spec == "twentyseven":
+        for u, v in combinations(split.left, 2):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    rng = random.Random(1901)
+    for _ in range(12):
+        transforms.local_complement_rows(rows, rng.randrange(len(rows)))
+    path.write_text(serialize.graph_to_adjacency_text(SimpleGraph._trusted(g.n, tuple(rows))))
+    return str(path)
+
+
+@pytest.mark.parametrize("spec", sorted(AGAINST_DIGESTS))
+def test_verify_against_a_walk_is_pinned(spec, capsys, tmp_path):
+    adj = walked_adjacency(spec, tmp_path / "walk.adj")
+    assert verify_digests(spec, capsys, "--against", adj, "--budget", "3000") == AGAINST_DIGESTS[spec]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,62 @@ def test_parse_bounds_the_exponent_only_at_the_boundary():
         with pytest.raises(SizeLimitError):
             Weight.parse(text)
     assert (Weight(1, top) + Weight(1, 3 * top)).exp == 3 * top  # uncapped inside
+
+
+# the two regexes Weight.parse used before its single one, kept as a reference
+_OLD_CARET_RE = re.compile(r"^(-?\d+)\s*/\s*2\^(\d+)$")
+_OLD_PLAIN_RE = re.compile(r"^(-?\d+)(?:\s*/\s*(\d+))?$")
+
+
+def two_regex_parse(text: str) -> Weight:
+    """Weight.parse as it was: the "p/2^e" regex first, then "p" or "p/q"."""
+    s = text.strip()
+    m = _OLD_CARET_RE.match(s)
+    if m:
+        num, exp = int(m.group(1)), int(m.group(2))
+    else:
+        m = _OLD_PLAIN_RE.match(s)
+        if not m:
+            raise NonDyadicError(f"cannot parse weight {text!r}")
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+        if den == 0 or den & (den - 1):
+            raise NonDyadicError(f"denominator of {text!r} is not a power of two")
+        exp = den.bit_length() - 1
+    if exp > MAX_PARSED_EXPONENT:
+        raise SizeLimitError(
+            f"denominator exponent {exp} of weight {text!r} exceeds {MAX_PARSED_EXPONENT}"
+        )
+    return Weight(num, exp)
+
+
+def parse_outcome(parse, text: str):
+    try:
+        w = parse(text)
+    except (NonDyadicError, SizeLimitError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return w.num, w.exp
+
+
+def test_parse_matches_the_two_regex_reference():
+    """A seeded corpus of well-formed and near-miss weight strings parses
+    to the same weight, or the same error and message, as before."""
+    rng = random.Random(20261020)
+    big = str(1 << (MAX_PARSED_EXPONENT + 1))
+    pieces = ["0", "1", "2", "3", "4", "7", "8", "12", "16", "1024", big, "-", "--", "/",
+              "^", "2^", "/2^", "2 ^", " ", "  ", "\t", "\n", "x", "+", "1025", "00", "2^2^"]
+    corpus = ["1/2^", "1/2^3", "1/23", "1/2 ^3", "1 / 2^3", "-0/2^0", f"3/2^{MAX_PARSED_EXPONENT + 1}",
+              f"1/{big}", f"1/2^{big}", "1/2^x", "1/ 2^ 3", " 5 / 8 "]
+    for _ in range(30_000):
+        corpus.append("".join(rng.choice(pieces) for _ in range(rng.randint(1, 6))))
+    for _ in range(10_000):
+        num = rng.choice(["", "-"]) + str(rng.randint(0, 99))
+        sep = rng.choice(["/", " / ", "/ ", " /", "\t/\t"])
+        den = rng.choice([str(1 << rng.randint(0, 12)), str(rng.randint(0, 99)),
+                          f"2^{rng.randint(0, 1100)}", f"2 ^{rng.randint(0, 9)}", "2^"])
+        corpus.append(num + sep + den + rng.choice(["", " ", "\n"]))
+    for text in corpus:
+        assert parse_outcome(Weight.parse, text) == parse_outcome(two_regex_parse, text), text
 
 
 def test_from_fraction_rejects_non_dyadic():
