@@ -24,6 +24,7 @@ from .errors import (
     CancellationError,
     InconclusiveError,
     PreconditionError,
+    SequenceStepError,
     SizeLimitError,
     VertexRangeError,
 )
@@ -34,7 +35,6 @@ from .hypergraph import (
     check_edge_bits,
     check_vertex_count,
     edge_to_mask,
-    from_graph,
     mask_to_edge,
 )
 from .lc_solver import (
@@ -44,14 +44,8 @@ from .lc_solver import (
     lc_equivalent,
     lemma_case_analysis,
 )
-from .phase_algebra import MAX_EXPANSION_DEPTH, MAX_EXPANSION_SUBSETS
-from .transforms import (
-    GateSequence,
-    _Fold,
-    local_complement_rows,
-    x_power_gate,
-    z_power_gate,
-)
+from .phase_algebra import MAX_EXPANSION_DEPTH, MAX_EXPANSION_SUBSETS, add_expansion
+from .transforms import GateSequence, local_complement_rows, x_power_gate, z_power_gate
 from .weights import QUARTER, Weight
 
 RIGHT_CAP = 100_000
@@ -298,6 +292,9 @@ def _closed_form_ledger(
 def derive_lu_partner(g: SimpleGraph, split: BipartiteSplit) -> LuDerivation:
     """Run the X^(1/4) sweep plus Z corrections and extract the target graph.
 
+    The sweep is summed from g's adjacency rows, one expansion per right
+    vertex over its neighbours; an expansion past the subset cap raises
+    :class:`SequenceStepError` with that vertex's index in ``split.right``.
     The sweep is checked against the closed-form ledger when the split
     graph is a subset family, and against the enumerated ledger otherwise.
     Both sides are compared as numerators keyed by edge mask; vertex
@@ -309,10 +306,14 @@ def derive_lu_partner(g: SimpleGraph, split: BipartiteSplit) -> LuDerivation:
     split.validate(g)
     alpha = QUARTER
     sweep: GateSequence = tuple(x_power_gate(v, alpha) for v in split.right)
-    fold = _Fold(from_graph(g))
-    # split.validate leaves no edge holding two right vertices: the batch's condition
-    fold.x_power_batch(split.right, alpha)
-    nums, exp = fold.nums, fold.exp
+    # split.validate leaves no edge holding two right vertices, so no gate of the
+    # sweep changes another's link: the sweep adds the sum of their expansions
+    total: dict[int, int] = {}  # numerators over 2**alpha.exp
+    for k, v in enumerate(split.right):
+        try:
+            add_expansion(total, [1 << u for u in g.neighbors(v)], alpha)
+        except SizeLimitError as exc:
+            raise SequenceStepError(k, str(exc)) from exc
 
     sizes = _subset_sizes(g, split)
     if sizes is None:
@@ -321,11 +322,19 @@ def derive_lu_partner(g: SimpleGraph, split: BipartiteSplit) -> LuDerivation:
         rows, deltas = _closed_form_ledger(split.left, sizes, alpha.as_fraction())
     # the whole sweep state against the ledger, over 2**exp (each delta is a multiple of
     # alpha): g's edges at weight 1 plus every delta mod 2, nothing else, and phase (mask) 0
+    exp = alpha.exp
     one = 1 << exp
-    expected = {(1 << u) | (1 << v): one for u, v in g.edge_list()}
-    for m, delta in deltas.items():
-        if num := (expected.pop(m, 0) + (delta.num << (exp - delta.exp))) % (2 * one):
-            expected[m] = num
+    edges = [(1 << u) | (1 << v) for u, v in g.edge_list()]
+
+    def plus_edges(delta: Iterable[tuple[int, int]]) -> dict[int, int]:
+        state = dict.fromkeys(edges, one)
+        for m, d in delta:
+            if num := (state.pop(m, 0) + d) % (2 * one):
+                state[m] = num
+        return state
+
+    nums = plus_edges(total.items())
+    expected = plus_edges((m, d.num << (exp - d.exp)) for m, d in deltas.items())
     if nums != expected:
         diff = (m for m in nums.keys() | expected.keys() if nums.get(m) != expected.get(m))
         e, m = min((mask_to_edge(m), m) for m in diff)  # vertex-tuple order, not mask order

@@ -31,26 +31,15 @@ MAX_EXPANSION_DEPTH = 24
 MAX_EXPANSION_SUBSETS = (1 << MAX_EXPANSION_DEPTH) - 1
 
 
-def expand_masks(masks: Sequence[int], alpha: Weight, prune: bool = True) -> dict[int, int]:
-    """Mask-level delta of raising a product of edge gates to ``alpha``.
-
-    ``masks`` are the gates' edges as vertex bitmasks (0 is the empty
-    edge); the result maps each union mask to its weight numerator over
-    2**alpha.exp, reduced modulo 2 and nonzero, in first-union order.
-    """
-    acc: dict[int, int] = {}
-    add_expansion(acc, masks, alpha, prune)
-    wrap = (2 << alpha.exp) - 1  # num & wrap == 0 iff weight is 0 mod 2
-    return {mask: red for mask, num in acc.items() if (red := num & wrap)}
-
-
 def add_expansion(
     acc: dict[int, int], masks: Sequence[int], alpha: Weight, prune: bool = True
 ) -> None:
-    """Add the unreduced numerators of :func:`expand_masks` into ``acc``.
+    """Add the power-of-product delta of the gates on ``masks`` into ``acc``.
 
-    All contributions share the denominator 2**alpha.exp. Both checks
-    (distinct masks, the subset cap) run before ``acc`` is touched.
+    ``masks`` are the gates' edges as vertex bitmasks (0 is the empty
+    edge). Each union mask's numerator over 2**alpha.exp is added to
+    ``acc`` unreduced, in first-union order. Both checks (distinct
+    masks, the subset cap) run before ``acc`` is touched.
     """
     if len(set(masks)) != len(masks):
         raise ValueError("edges of a gate product must be pairwise distinct")
@@ -92,9 +81,12 @@ def power_of_product(
     phase). With ``prune`` unset, all 2**k - 1 subsets are enumerated,
     which must agree exactly with the pruned result.
     """
-    masks = [edge_to_mask(normalize_edge(e)) for e in edges]
-    delta = expand_masks(masks, alpha, prune)
-    return {mask_to_edge(m): Weight(num, alpha.exp) for m, num in delta.items()}
+    acc: dict[int, int] = {}
+    add_expansion(acc, [edge_to_mask(normalize_edge(e)) for e in edges], alpha, prune)
+    wrap = (2 << alpha.exp) - 1  # num & wrap == 0 iff weight is 0 mod 2
+    return {
+        mask_to_edge(m): Weight(red, alpha.exp) for m, num in acc.items() if (red := num & wrap)
+    }
 
 
 def involution_power_check(diag: np.ndarray, alpha: float | Weight) -> np.ndarray:

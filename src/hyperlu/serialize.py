@@ -83,12 +83,21 @@ def hypergraph_from_dict(data: dict) -> WeightedHypergraph:
     return WeightedHypergraph.make(n, items, phase)
 
 
+def _loads(text: str) -> Any:
+    """``json.loads``, with nesting too deep to parse a data error
+    (``ValueError``) rather than a ``RecursionError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply to parse") from None
+
+
 def dump_hypergraph(h: WeightedHypergraph) -> str:
     return json.dumps(hypergraph_to_dict(h), indent=2) + "\n"
 
 
 def load_hypergraph(path: str | Path) -> WeightedHypergraph:
-    return hypergraph_from_dict(json.loads(Path(path).read_text()))
+    return hypergraph_from_dict(_loads(Path(path).read_text()))
 
 
 def graph_to_adjacency_text(g: SimpleGraph) -> str:
@@ -119,7 +128,7 @@ def load_graph(path: str | Path) -> SimpleGraph:
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        h = hypergraph_from_dict(json.loads(text))
+        h = hypergraph_from_dict(_loads(text))
         return to_graph(h)
     return graph_from_adjacency_text(text)
 
@@ -129,7 +138,7 @@ def load_state(path: str | Path) -> WeightedHypergraph:
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return hypergraph_from_dict(json.loads(text))
+        return hypergraph_from_dict(_loads(text))
     return from_graph(graph_from_adjacency_text(text))
 
 
@@ -164,7 +173,7 @@ def dump_sequence(seq: GateSequence) -> str:
 
 
 def load_sequence(path: str | Path) -> GateSequence:
-    return sequence_from_list(json.loads(Path(path).read_text()))
+    return sequence_from_list(_loads(Path(path).read_text()))
 
 
 def hypergraph_to_dot(h: WeightedHypergraph, name: str = "state") -> str:

@@ -20,7 +20,7 @@ from typing import Iterable, Literal, Sequence
 
 from .errors import PreconditionError, SequenceStepError, VertexRangeError
 from .hypergraph import Edge, SimpleGraph, WeightedHypergraph, edge_to_mask, mask_to_edge
-from .phase_algebra import add_expansion, expand_masks
+from .phase_algebra import add_expansion
 from .weights import HALF, ZERO, Weight
 
 GateKind = Literal["X", "Xp", "Zp", "LC"]
@@ -192,50 +192,15 @@ class _Fold:
 
     def expand(self, masks: list[int], alpha: Weight) -> None:
         """Add the power-of-product delta of the gates on ``masks``."""
+        delta: dict[int, int] = {}
+        add_expansion(delta, masks, alpha)
         self.lift(alpha.exp)
         shift = self.exp - alpha.exp
-        for m, num in expand_masks(masks, alpha).items():
+        for m, num in delta.items():  # add reduces mod 2 and skips what cancels
             self.add(m, num << shift)
 
     def x_power(self, i: int, alpha: Weight) -> None:
         self.expand(self.link(i), alpha)
-
-    def x_power_batch(self, qubits: Sequence[int], alpha: Weight) -> None:
-        """X^alpha on each of ``qubits`` in turn, folded as one batch.
-
-        Condition: no edge holds two of the qubits. X^alpha at v changes
-        only edges inside the union of v's link, which then holds no
-        other gate vertex, so no gate changes another gate's link or
-        precondition, and the gate-by-gate fold equals this: read the
-        links in gate order, sum their expansions' numerators, and add
-        each distinct mask once. The condition is checked first, in one
-        pass over the gate vertices' edges; an edge that breaks it
-        raises :class:`PreconditionError`, since there is no
-        gate-by-gate fallback. A failing gate raises
-        :class:`SequenceStepError` with its index, as in
-        :func:`apply_sequence`.
-        """
-        gate_bits = 0
-        for q in qubits:
-            if 0 <= q < self.n:
-                gate_bits |= 1 << q
-        for q in qubits:
-            for m in self.index.get(q, ()):  # only in-range vertices have edges
-                if m & gate_bits & ~(1 << q):
-                    e = mask_to_edge(m)
-                    raise PreconditionError(
-                        f"edge {e} holds more than one vertex of the X-power batch", edge=e
-                    )
-        total: dict[int, int] = {}  # numerators over 2**alpha.exp
-        for idx, q in enumerate(qubits):
-            try:
-                add_expansion(total, self.link(q), alpha)
-            except (PreconditionError, VertexRangeError, ValueError) as exc:
-                raise SequenceStepError(idx, str(exc)) from exc
-        self.lift(alpha.exp)
-        shift = self.exp - alpha.exp
-        for m, num in total.items():
-            self.add(m, num << shift)
 
     def local_complement(self, v: int) -> None:
         """The X^(1/2) + neighbor-Z composite.

@@ -183,6 +183,18 @@ def test_missing_file_is_data_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv", [("check-lc", "{d}", "{d}"), ("verify", "--spec", "twentyseven", "--report", "{d}")]
+)
+def test_unreadable_path_is_a_data_error(tmp_path, capsys, argv):
+    """A directory where a file is read or written is a data error (exit
+    3), not a crash. A directory, not a file without permissions, since
+    the tests may run as root."""
+    assert run(*[a.format(d=tmp_path) for a in argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run("verify")  # --spec missing
@@ -270,43 +282,38 @@ def test_verify_against_builds_the_construction_once(tmp_path, monkeypatch, caps
     assert [] in payload["against"]["search"]["candidates"] and code == 2
 
 
-def _drop_edge(fold):
-    del fold.nums[0b1000001]  # (0, 6)
-
-
-def _add_right_edge(fold):
-    fold.nums[0b11000000] = 1 << fold.exp  # (6, 7) at weight 1
-
-
-def _wrong_weight(fold):
-    fold.nums[0b1000001] = 1 << (fold.exp - 1)  # (0, 6) at weight 1/2
-
-
-def _two_faults(fold):
-    _drop_edge(fold)
-    fold.nums[0b110] = 1 << (fold.exp - 1)  # (1, 2), mask 6, below (0, 6)'s mask 65
+# fault numerators over 2**2, added to the sweep sum at its first expansion;
+# mask 65 is the edge (0, 6), 192 is (6, 7) and 6 is (1, 2), below (0, 6)'s mask
+_DROP_EDGE = {65: 4}  # (0, 6) from weight 1 to 0
+_ADD_RIGHT_EDGE = {192: 4}  # (6, 7) at weight 1
+_WRONG_WEIGHT = {65: 6}  # (0, 6) at weight 1/2
+_TWO_FAULTS = {65: 4, 6: 2}
 
 
 @pytest.mark.parametrize(
     "fault, where",
     [
-        (_drop_edge, "(0, 6)"), (_add_right_edge, "(6, 7)"), (_wrong_weight, "(0, 6)"),
-        (_two_faults, "(0, 6)"),
+        (_DROP_EDGE, "(0, 6)"), (_ADD_RIGHT_EDGE, "(6, 7)"), (_WRONG_WEIGHT, "(0, 6)"),
+        (_TWO_FAULTS, "(0, 6)"),
     ],
 )
 def test_faulty_sweep_fold_exits_70(monkeypatch, capsys, fault, where):
-    """A fold that drops, adds or misweighs an edge is caught by the raw
+    """A sweep that drops, adds or misweighs an edge is caught by the raw
     weight ledger and is a crash, not a data error or a verdict. The
     message names the smallest differing edge as a vertex tuple."""
-    from hyperlu import transforms
+    from hyperlu import counterexamples
 
-    batch = transforms._Fold.x_power_batch
+    expand = counterexamples.add_expansion
+    calls = []
 
-    def faulty(self, qubits, alpha):
-        batch(self, qubits, alpha)
-        fault(self)
+    def faulty(acc, masks, alpha):
+        expand(acc, masks, alpha)
+        if not calls:
+            for m, num in fault.items():
+                acc[m] = acc.get(m, 0) + num
+        calls.append(1)
 
-    monkeypatch.setattr(transforms._Fold, "x_power_batch", faulty)
+    monkeypatch.setattr(counterexamples, "add_expansion", faulty)
     assert run("verify", "--spec", "twentyseven") == 70
     err = capsys.readouterr().err
     assert f"engine sweep state disagrees with the raw ledger at {where}" in err
@@ -545,6 +552,23 @@ def test_indices_must_be_integers(tmp_path, capsys, state, seq, message):
     (tmp_path / "q.json").write_text(json.dumps(seq))
     assert run("transform", str(tmp_path / "s.json"), str(tmp_path / "q.json")) == 3
     assert message in capsys.readouterr().err
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000  # about 200 KB, past the parser's recursion limit
+
+
+@pytest.mark.parametrize(
+    "state, seq",
+    [('{"n": ' + _DEEP + "}", json.dumps(_GOOD_SEQ)), (json.dumps(_GOOD_STATE), _DEEP)],
+    ids=["state", "sequence"],
+)
+def test_deeply_nested_json_is_a_data_error(tmp_path, capsys, state, seq):
+    """A state or a sequence nested too deeply for the JSON parser is a
+    data error (exit 3), not a crash."""
+    (tmp_path / "s.json").write_text(state)
+    (tmp_path / "q.json").write_text(seq)
+    assert run("transform", str(tmp_path / "s.json"), str(tmp_path / "q.json")) == 3
+    assert capsys.readouterr().err == "error: JSON input is nested too deeply to parse\n"
 
 
 def test_export_refuses_a_boolean_vertex(tmp_path, capsys):

@@ -18,8 +18,8 @@ from hyperlu import oracle, serialize, transforms
 from hyperlu.errors import CancellationError, PreconditionError, SizeLimitError
 from hyperlu.hypergraph import SimpleGraph, from_graph, is_graph_state, states_equal
 from hyperlu.lc_solver import BipartiteSplit
-from hyperlu.transforms import apply_sequence
-from hyperlu.weights import Weight
+from hyperlu.transforms import apply_sequence, x_power_gate
+from hyperlu.weights import QUARTER, Weight
 
 
 class TestBuild:
@@ -333,6 +333,44 @@ class TestClosedFormLedger:
             cx._raw_sweep_deltas(g, split, Fraction(1, 4))
 
 
+SWEEP_REFERENCE_CASES = [(spec, None) for spec in VERIFY_LADDER + ("g2h7",) + SMALL_SPECS] + [
+    (f"bipartite:{base}", change)
+    for base in ("7:4", "7:5", "6:3")
+    for change in range(len(NON_FAMILY_CHANGES))
+]
+
+
+@pytest.mark.parametrize(
+    "spec, change",
+    SWEEP_REFERENCE_CASES,
+    ids=[spec if c is None else f"{spec}-{NON_FAMILY_IDS[c]}" for spec, c in SWEEP_REFERENCE_CASES],
+)
+def test_gate_by_gate_sweep_is_the_derivation(spec, change):
+    """X^(1/4) folded gate by gate on every right vertex, cancelling or
+    not: its one-vertex edges are the negated corrections, its edges
+    other than weight-1 two-edges are the residues, and when the sweep
+    cancels its weight-1 two-edges are the target's edges."""
+    g, split = cx.build(cx.parse_spec(spec))
+    if change is not None:
+        g, split = NON_FAMILY_CHANGES[change](g, split)
+    try:
+        derivation = cx.derive_lu_partner(g, split)
+        ledger, target = derivation.ledger, derivation.target
+    except CancellationError as exc:
+        ledger, target = exc.ledger, None
+    folded = apply_sequence(from_graph(g), [x_power_gate(v, QUARTER) for v in split.right])
+    one = Weight(1)
+    assert folded.phase.is_zero
+    assert [(e[0], w) for e, w in folded.edges if len(e) == 1] == [
+        (q, -w) for q, w in ledger.corrections
+    ]
+    others = [(e, w) for e, w in folded.edges if len(e) > 2 or (len(e) == 2 and w != one)]
+    assert others == ledger.residues
+    if target is not None:
+        graph_edges = [e for e, w in folded.edges if len(e) == 2 and w == one]
+        assert graph_edges == target.edge_list()
+
+
 class TestGraphToHypergraph7:
     def test_pipeline_reaches_expected_state(self):
         g, witness, expected = cx.build_graph_to_hypergraph7()
@@ -394,7 +432,8 @@ class TestVerify:
         report = cx.verify_construction(cx.TwentySeven())
         assert report.confirmed and calls == [27]
 
-    def test_verify_folds_the_sweep_once(self, monkeypatch):
+    def test_verify_builds_no_fold(self, monkeypatch):
+        """The sweep is summed from the graph's rows, not folded."""
         folds = []
         init = transforms._Fold.__init__
 
@@ -404,7 +443,7 @@ class TestVerify:
 
         monkeypatch.setattr(transforms._Fold, "__init__", counting)
         report = cx.verify_construction(cx.TwentySeven())
-        assert report.confirmed and folds == [27]
+        assert report.confirmed and folds == []
 
     def test_counterexample_report_matches_construction(self):
         g, split = cx.build(cx.TwentySeven())

@@ -5,8 +5,7 @@ an index from each vertex to its edge masks. It is compared here with
 the dense state-vector oracle, with a scan-based fold on ``Weight``
 values that expands every subset of a link explicitly (the engine as it
 was before the index), and its index with a full scan after every gate.
-The batched X-power fold is compared with the gate-by-gate folds and the
-oracle. The counted sweep ledger, the bit-walking vertex pattern spans
+The counted sweep ledger, the bit-walking vertex pattern spans
 and ``SimpleGraph.edge_list`` are compared with the loops they replaced.
 """
 
@@ -303,105 +302,6 @@ class TestLinkOrder:
             h = random_state(rng)
             q = rng.randrange(-1, h.n + 1)
             assert outcome(lambda: link(h, q)) == outcome(lambda: ScanFold(h).link(q))
-
-
-def batch_state(rng: random.Random, max_n: int) -> tuple[WeightedHypergraph, list[int]]:
-    """A random state meeting the X-power batch's condition, and its gate
-    vertices (with repeats).
-
-    No edge holds two gate vertices; the edges at a gate vertex weigh 1,
-    and the edges away from them carry random weights.
-    """
-    n = rng.randint(1, max_n)
-    gates = rng.sample(range(n), rng.randint(1, min(n, 4)))
-    others = [v for v in range(n) if v not in gates]
-    items = []
-    for _ in range(rng.randint(0, 12)):
-        size = rng.choice([1, 2, 2, 3, 4])
-        if rng.random() < 0.6:
-            rest = rng.sample(others, min(len(others), size - 1))
-            items.append(((rng.choice(gates), *rest), ONE))
-        elif others:
-            edge = tuple(rng.sample(others, min(len(others), size)))
-            items.append((edge, rng.choice(EXPONENTS)))
-    h = WeightedHypergraph.make(n, items, rng.choice([ZERO, Weight(1, 3)]))
-    return h, [rng.choice(gates) for _ in range(rng.randint(1, 6))]
-
-
-def random_dyadic(rng: random.Random) -> Weight:
-    return Weight(rng.randrange(-9, 10), rng.randint(0, 4))
-
-
-def batch_apply(h: WeightedHypergraph, qubits: list[int], alpha: Weight) -> WeightedHypergraph:
-    fold = _Fold(h)
-    fold.x_power_batch(qubits, alpha)
-    assert_index_consistent(fold)
-    return fold.state()
-
-
-class TestXPowerBatch:
-    def test_matches_gate_by_gate_and_scan_folds(self):
-        rng = random.Random(20261020)
-        for _ in range(400):
-            h, qubits = batch_state(rng, 12)
-            alpha = random_dyadic(rng)
-            seq = [GateApplication(q, "Xp", alpha) for q in qubits]
-            out = batch_apply(h, qubits, alpha)
-            assert out == apply_sequence(h, seq)
-            assert out == scan_apply_sequence(h, seq)
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_dense_replay(self, seed):
-        rng = random.Random(seed)
-        h, qubits = batch_state(rng, 12)
-        alpha = random_dyadic(rng)
-        dense = oracle.replay_dense(h, [GateApplication(q, "Xp", alpha) for q in qubits])
-        out = oracle.dense_state(batch_apply(h, qubits, alpha))
-        assert oracle.equal_up_to_global_phase(out, dense)
-
-    def test_failing_gate_keeps_its_step_and_message(self):
-        """The k-th gate vertex gets a fractional edge (the step is that
-        vertex's first gate), or an out-of-range gate is put in at k."""
-        rng = random.Random(7)
-        for _ in range(300):
-            h, qubits = batch_state(rng, 10)
-            k = rng.randrange(len(qubits))
-            if rng.random() < 0.7:
-                away = [v for v in range(h.n) if v not in qubits][:1]
-                edge = tuple(sorted({qubits[k], *away}))
-                items = [(e, w) for e, w in h.edges if e != edge]
-                h = WeightedHypergraph.make(h.n, items + [(edge, rng.choice(EXPONENTS[1:]))])
-                step = qubits.index(qubits[k])
-            else:
-                qubits = qubits[:k] + [rng.choice([-1, h.n, h.n + 5])] + qubits[k:]
-                step = k
-            alpha = random_dyadic(rng)
-            seq = [GateApplication(q, "Xp", alpha) for q in qubits]
-            batch = outcome(lambda: batch_apply(h, qubits, alpha))
-            assert batch == outcome(lambda: apply_sequence(h, seq))
-            assert batch[0] is SequenceStepError and batch[1].startswith(f"step {step}: ")
-
-    def test_edge_on_two_gate_vertices_is_refused(self):
-        """A run that breaks the condition is refused whole, with no gate
-        folded, and names an edge holding two of its vertices."""
-        h = WeightedHypergraph.make(4, [((0, 1), ONE), ((1, 2), ONE), ((2, 3), ONE)])
-        fold = _Fold(h)
-        with pytest.raises(PreconditionError, match="holds more than one vertex") as exc:
-            fold.x_power_batch([0, 3, 1], Weight(1, 2))
-        assert exc.value.edge == (0, 1)
-        assert fold.state() == h
-        rng = random.Random(13)
-        for _ in range(200):
-            h, qubits = batch_state(rng, 10)
-            if len(set(qubits)) < 2:
-                continue
-            a, b = rng.sample(sorted(set(qubits)), 2)
-            h = WeightedHypergraph.make(h.n, [*h.edges, ((a, b), ONE)])
-            fold = _Fold(h)
-            with pytest.raises(PreconditionError) as exc:
-                fold.x_power_batch(qubits, random_dyadic(rng))
-            assert len(set(exc.value.edge) & set(qubits)) >= 2
-            assert fold.state() == h
 
 
 class TestVertexCap:
